@@ -365,10 +365,8 @@ double TimingModel::kernel_time_ms(const DeviceInfo& device,
     t *= std::exp(device.structural_noise_sigma * hash_normal(config_h));
   }
   if (options_.measurement_noise && device.measurement_noise_sigma > 0.0) {
-    const std::uint64_t call =
-        call_counter_.fetch_add(1, std::memory_order_relaxed);
     t *= std::exp(device.measurement_noise_sigma *
-                  hash_normal(mix(config_h, call + 1)));
+                  hash_normal(mix(config_h, launch.queue_launch + 1)));
   }
   return t;
 }

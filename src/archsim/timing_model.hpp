@@ -28,9 +28,10 @@
 //    unmodeled architectural effects. The same configuration always runs in
 //    the same time, but the ANN cannot fully learn this component, which
 //    sets a device-specific floor on model accuracy (Figs 4-6).
-//  - measurement: fresh per call — timer jitter. Optional.
+//  - measurement: fresh per queue launch — timer jitter keyed by
+//    (device, configuration, LaunchDescriptor::queue_launch), so a queue's
+//    timings never depend on other queues sharing the oracle. Optional.
 
-#include <atomic>
 #include <cstdint>
 
 #include "clsim/device.hpp"
@@ -80,7 +81,6 @@ class TimingModel final : public clsim::TimingOracle {
       const clsim::LoopInfo& loop, std::size_t loop_index) const;
 
   Options options_;
-  mutable std::atomic<std::uint64_t> call_counter_{0};
 };
 
 }  // namespace pt::archsim

@@ -6,6 +6,7 @@
 // some devices but not others — a central mechanism in the paper.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -83,6 +84,9 @@ struct LaunchDescriptor {
   NDRange global;
   NDRange local;
   std::size_t local_mem_bytes = 0;  // total per group, static + dynamic
+  /// Kernel launches the issuing queue made before this one: the
+  /// measurement-noise key, so jitter depends only on the queue's own history.
+  std::uint64_t queue_launch = 0;
 };
 
 /// Supplies the simulated clock: how long a launch/transfer/build takes on a

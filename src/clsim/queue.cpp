@@ -72,6 +72,7 @@ Event CommandQueue::enqueue_nd_range(const Kernel& kernel,
   launch.global = global;
   launch.local = local;
   launch.local_mem_bytes = kernel.profile().local_mem_bytes_per_group;
+  launch.queue_launch = launches_++;
 
   const double duration =
       device_.oracle().kernel_time_ms(device_.info(), launch);

@@ -146,6 +146,7 @@ class CommandQueue {
   double now_ms_ = 0.0;   // latest completion time
   double tail_ms_ = 0.0;  // in-order chain position
   std::uint64_t next_event_id_ = 0;
+  std::uint64_t launches_ = 0;  // accepted kernel launches (noise key)
   double total_kernel_ms_ = 0.0;
   double total_transfer_ms_ = 0.0;
   double total_build_ms_ = 0.0;

@@ -39,22 +39,6 @@ class OwningBenchmarkEvaluator final : public tuner::Evaluator {
   benchkit::BenchmarkEvaluator eval_;
 };
 
-/// The archsim TimingModel keys its measurement noise off a mutable call
-/// counter, so a device whose oracle is shared across evaluators would give
-/// each tune a different noise stream — breaking the serve determinism
-/// contract (served result == direct AutoTuner run at the same seed). Give
-/// each evaluator its own oracle, rebuilt from the same options, so every
-/// tune replays from call zero. Custom (non-archsim) oracles are shared
-/// as-is; their replay semantics are the caller's business.
-clsim::Device replay_device(const clsim::Device& device) {
-  const auto* model =
-      dynamic_cast<const archsim::TimingModel*>(&device.oracle());
-  if (model == nullptr) return device;
-  return archsim::make_device(
-      device.info(),
-      std::make_shared<const archsim::TimingModel>(model->options()));
-}
-
 }  // namespace
 
 BenchmarkCatalog::BenchmarkCatalog()
@@ -87,7 +71,7 @@ std::unique_ptr<tuner::Evaluator> BenchmarkCatalog::make_evaluator(
   else
     return nullptr;
   return std::make_unique<OwningBenchmarkEvaluator>(std::move(benchmark),
-                                                    replay_device(*device));
+                                                    *device);
 }
 
 EvaluatorFactory BenchmarkCatalog::factory() const {

@@ -75,18 +75,24 @@ TEST(TimingModel, DeterministicWithoutMeasurementNoise) {
                    model.kernel_time_ms(info, l));
 }
 
-TEST(TimingModel, MeasurementNoiseJittersRepeatedCalls) {
+TEST(TimingModel, MeasurementNoiseIsKeyedByQueueLaunch) {
   TimingModel::Options o;
   o.structural_noise = false;
   o.measurement_noise = true;
   const TimingModel model(o);
   const KernelProfile p = base_profile();
   const auto info = nvidia_k40_info();
-  const auto l = launch_of(p, NDRange(512, 512), NDRange(16, 16));
-  const double a = model.kernel_time_ms(info, l);
-  const double b = model.kernel_time_ms(info, l);
-  EXPECT_NE(a, b);
+  auto first = launch_of(p, NDRange(512, 512), NDRange(16, 16));
+  auto second = first;
+  second.queue_launch = 1;
+  const double a = model.kernel_time_ms(info, first);
+  const double b = model.kernel_time_ms(info, second);
+  EXPECT_NE(a, b);              // a queue's later launch draws fresh jitter
   EXPECT_NEAR(a, b, a * 0.25);  // jitter is small
+  // The same launch of a queue draws the same jitter, however many calls
+  // the (shared) oracle served in between.
+  EXPECT_EQ(model.kernel_time_ms(info, first), a);
+  EXPECT_EQ(model.kernel_time_ms(info, second), b);
 }
 
 TEST(TimingModel, StructuralNoiseVariesByFingerprint) {

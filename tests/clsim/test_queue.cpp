@@ -54,6 +54,43 @@ TEST(Queue, TimelineAdvancesInOrder) {
   EXPECT_EQ(q.events().size(), 2u);
 }
 
+/// Oracle whose kernel time is the launch's noise key, so tests can read
+/// which key the queue passed.
+class LaunchKeyOracle final : public TimingOracle {
+ public:
+  double kernel_time_ms(const DeviceInfo&,
+                        const LaunchDescriptor& launch) const override {
+    return 1.0 + static_cast<double>(launch.queue_launch);
+  }
+  double transfer_time_ms(const DeviceInfo&, std::size_t,
+                          TransferDirection) const override {
+    return 0.0;
+  }
+  double compile_time_ms(const DeviceInfo&,
+                         const KernelProfile&) const override {
+    return 0.0;
+  }
+};
+
+TEST(Queue, LaunchKeyCountsOnlyThisQueuesLaunches) {
+  DeviceInfo info;
+  info.name = "keyed";
+  info.max_work_group_size = 16;
+  const Device dev(info, std::make_shared<LaunchKeyOracle>());
+  Buffer out(64 * sizeof(int));
+  const Kernel k = counting_kernel(dev, out);
+  CommandQueue a(dev, {ExecMode::kTimingOnly, nullptr});
+  CommandQueue b(dev, {ExecMode::kTimingOnly, nullptr});
+  const double a0 = a.enqueue_nd_range(k, NDRange(8), NDRange(4)).duration;
+  const double a1 = a.enqueue_nd_range(k, NDRange(8), NDRange(4)).duration;
+  EXPECT_NE(a0, a1);  // repeated launches on one queue get fresh keys
+  // A rejected launch never reaches the oracle and takes no key.
+  EXPECT_THROW(a.enqueue_nd_range(k, NDRange(64), NDRange(32)), ClException);
+  EXPECT_EQ(a.enqueue_nd_range(k, NDRange(8), NDRange(4)).duration, 3.0);
+  // Another queue on the same device starts from its own first launch.
+  EXPECT_EQ(b.enqueue_nd_range(k, NDRange(8), NDRange(4)).duration, a0);
+}
+
 TEST(Queue, InvalidLaunchThrowsWithStatus) {
   DeviceInfo info;
   info.max_work_group_size = 16;

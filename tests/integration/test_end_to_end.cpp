@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "archsim/devices.hpp"
 #include "benchmarks/registry.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "tuner/autotuner.hpp"
+#include "tuner/iterative.hpp"
 #include "tuner/search.hpp"
 
 namespace pt {
@@ -184,6 +188,92 @@ TEST(EndToEnd, DataGatheringCostDominatedByCompiles) {
   for (int i = 0; i < 50; ++i) (void)eval.measure(eval.space().random(rng));
   EXPECT_GT(eval.total_cost_ms(),
             inner.queue().total_kernel_ms() * 5.0);
+}
+
+// --- Seed contract: a tune is a pure function of its seed -----------------
+
+/// Everything a tune decides, compared bit for bit.
+struct TuneOutcome {
+  tuner::Configuration best_config;
+  double best_time_ms = 0.0;
+  double data_gathering_cost_ms = 0.0;
+  std::vector<double> predictions;  // the returned model on fixed configs
+};
+
+template <typename Result>
+TuneOutcome outcome_of(const Result& result, const tuner::ParamSpace& space) {
+  TuneOutcome out{result.best_config, result.best_time_ms,
+                  result.data_gathering_cost_ms, {}};
+  if (!result.model) return out;
+  common::Rng rng(41);
+  for (int i = 0; i < 4; ++i)
+    out.predictions.push_back(result.model->predict_ms(space.random(rng)));
+  return out;
+}
+
+/// Traffic a user process may have put on a platform before a tune: a tune
+/// of another benchmark on another device, and a functional verification
+/// launch on the device about to be tuned.
+void put_prior_traffic(const clsim::Platform& platform) {
+  const auto other = benchkit::make_benchmark("raycasting");
+  benchkit::BenchmarkEvaluator other_eval(
+      *other, platform.device_by_name(archsim::kIntelI7));
+  (void)tuner::AutoTuner(fast_tuner(100, 10))
+      .tune(other_eval, tuner::TuneRun::with_seed(3));
+  const auto small = benchkit::make_benchmark_small("convolution");
+  EXPECT_LT(small->verify(platform.device_by_name(archsim::kNvidiaK40),
+                          tuner::Configuration{{8, 4, 1, 1, 0, 0, 0, 0, 0}}),
+            1e-5);
+}
+
+/// Runs `tune` on convolution@K40 of a fresh platform and of one with prior
+/// traffic, at 1 and 4 pool threads; the outcomes must be identical.
+void expect_history_independent(
+    const std::function<TuneOutcome(tuner::Evaluator&)>& tune) {
+  const auto bench = benchkit::make_benchmark("convolution");
+  auto tune_on = [&](const clsim::Platform& platform) {
+    benchkit::BenchmarkEvaluator eval(
+        *bench, platform.device_by_name(archsim::kNvidiaK40));
+    return tune(eval);
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    common::set_global_pool_threads(threads);
+    const TuneOutcome fresh = tune_on(archsim::default_platform());
+    const clsim::Platform used = archsim::default_platform();
+    put_prior_traffic(used);
+    const TuneOutcome again = tune_on(used);
+    EXPECT_EQ(again.best_config, fresh.best_config) << threads;
+    EXPECT_EQ(again.best_time_ms, fresh.best_time_ms) << threads;
+    EXPECT_EQ(again.data_gathering_cost_ms, fresh.data_gathering_cost_ms)
+        << threads;
+    ASSERT_EQ(fresh.predictions.size(), 4u);
+    EXPECT_EQ(again.predictions, fresh.predictions) << threads;
+  }
+  common::set_global_pool_threads(0);
+}
+
+TEST(SeedContract, AutoTunerIgnoresEarlierPlatformTraffic) {
+  expect_history_independent([](tuner::Evaluator& eval) {
+    const auto result = tuner::AutoTuner(fast_tuner(150, 15))
+                            .tune(eval, tuner::TuneRun::with_seed(11));
+    EXPECT_TRUE(result.success);
+    return outcome_of(result, eval.space());
+  });
+}
+
+TEST(SeedContract, IterativeTunerIgnoresEarlierPlatformTraffic) {
+  tuner::IterativeTunerOptions options;
+  options.measurement_budget = 300;
+  options.initial_samples = 150;
+  options.batch_size = 75;
+  options.model.ensemble.k = 3;
+  options.model.ensemble.trainer.common.max_epochs = 250;
+  expect_history_independent([&](tuner::Evaluator& eval) {
+    const auto result = tuner::IterativeTuner(options).tune(
+        eval, tuner::TuneRun::with_seed(11));
+    EXPECT_TRUE(result.success);
+    return outcome_of(result, eval.space());
+  });
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "archsim/devices.hpp"
+#include "serve/catalog.hpp"
 #include "serve/protocol.hpp"
 #include "tuner/autotuner.hpp"
 #include "tuner/options.hpp"
@@ -150,6 +152,43 @@ TEST(TuneService, ServedTuneBitIdenticalToDirectCall) {
           .tune(eval99, tuner::TuneRun::with_seed(99));
   EXPECT_EQ(other_seed.best_config.values, direct99.best_config.values);
   EXPECT_DOUBLE_EQ(other_seed.best_time_ms, direct99.best_time_ms);
+}
+
+TEST(TuneService, CatalogTunesSharingOneOracleMatchDirectRuns) {
+  // Both keys' devices come from one default_platform() and so share one
+  // archsim timing oracle. Served concurrently, each answer must still be
+  // the direct tune of a fresh catalog evaluator, run afterwards.
+  const BenchmarkCatalog catalog;
+  TuneService service(fast_service_options(/*workers=*/2), catalog.factory());
+  Session session(service, "tenant-a");
+  const TuneKey keys[] = {
+      TuneKey{"convolution", archsim::kNvidiaK40, "small"},
+      TuneKey{"convolution", archsim::kIntelI7, "small"}};
+  constexpr std::uint64_t kSeed = 13;
+
+  std::vector<std::future<TuneResponse>> futures;
+  for (const TuneKey& key : keys) {
+    TuneRequest request;
+    request.key = key;
+    request.seed = kSeed;
+    futures.push_back(session.submit(std::move(request)));
+  }
+  std::vector<TuneResponse> served;
+  for (auto& f : futures) served.push_back(f.get());
+
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    ASSERT_EQ(served[i].status, ResponseStatus::kOk) << served[i].error;
+    const auto eval = catalog.make_evaluator(keys[i]);
+    ASSERT_NE(eval, nullptr);
+    const tuner::AutoTuneResult direct =
+        tuner::AutoTuner(fast_tuner_options())
+            .tune(*eval, tuner::TuneRun::with_seed(kSeed));
+    ASSERT_TRUE(direct.success) << keys[i].device;
+    EXPECT_EQ(served[i].best_config.values, direct.best_config.values)
+        << keys[i].device;
+    EXPECT_EQ(served[i].best_time_ms, direct.best_time_ms) << keys[i].device;
+  }
+  EXPECT_EQ(service.stats().tunes_executed, 2u);
 }
 
 TEST(TuneService, RepeatRequestServedFromStoreAndIdentical) {
