@@ -5,11 +5,17 @@
 //
 // This bench reproduces that breakdown: simulated data-gathering wall time
 // (compiles + runs + failed attempts) vs real host time spent training the
-// ensemble and scanning predictions.
+// ensemble and scanning predictions, plus the scan's exactness margin: the
+// coarse-pass error bound in force against the error observed on the rows
+// re-ranked in fp64.
 
+#include <iomanip>
 #include <iostream>
+#include <sstream>
+#include <string>
 
 #include "bench_util.hpp"
+#include "common/telemetry/telemetry.hpp"
 #include "tuner/autotuner.hpp"
 
 int main(int argc, char** argv) {
@@ -32,8 +38,21 @@ int main(int argc, char** argv) {
   common::Rng rng(static_cast<std::uint64_t>(args.get("seed", 11L)));
 
   const tuner::AutoTuner tuner_engine(opts);
-  const tuner::AutoTuneResult result =
-      tuner_engine.tune(eval, tuner::TuneRun::with_rng(rng));
+  common::telemetry::Collector collector;
+  tuner::AutoTuneResult result;
+  {
+    const common::telemetry::ScopedCollector scope(&collector);
+    result = tuner_engine.tune(eval, tuner::TuneRun::with_rng(rng));
+  }
+  // A gauge from the tune's telemetry, in scientific notation.
+  auto gauge = [&collector](const std::string& name) {
+    double found = 0.0;
+    for (const auto& [key, value] : collector.gauges())
+      if (key == name) found = value;
+    std::ostringstream out;
+    out << std::scientific << std::setprecision(2) << found;
+    return out.str();
+  };
 
   common::Table table({"Cost component", "Time"});
   table.add_row({"data gathering (simulated device wall clock)",
@@ -48,7 +67,12 @@ int main(int argc, char** argv) {
                  common::fmt_time_ms(result.prediction_scan_host_ms)});
   table.print(std::cout);
 
-  std::cout << "\nstage 1: " << result.stage1_measured << " measured, "
+  std::cout << "\nprediction scan (" << tuner::scan_inference_name(
+                   opts.model.scan.inference)
+            << "): coarse-vs-fp64 error observed "
+            << gauge("tuner.scan.observed_error") << " against a bound of "
+            << gauge("tuner.scan.error_bound") << " (raw output units)\n";
+  std::cout << "stage 1: " << result.stage1_measured << " measured, "
             << result.stage1_valid << " valid;  stage 2: "
             << result.stage2_measured << " measured, "
             << result.stage2_invalid << " invalid\n";

@@ -202,7 +202,7 @@ BENCHMARK(BM_BatchedEnsemblePredict)->Arg(65536);
 
 // --- quantized inference tier ----------------------------------------------
 
-/// The trained ensemble the quantized benches pack (same shape as the
+/// The trained ensemble the int8 bench packs (same shape as the
 /// fp32 batched bench so throughputs compare directly).
 ml::BaggingEnsemble bench_ensemble(common::Rng& rng) {
   ml::Dataset data;
@@ -216,15 +216,14 @@ ml::BaggingEnsemble bench_ensemble(common::Rng& rng) {
   return ensemble;
 }
 
-void BM_QuantEnsemblePredict(benchmark::State& state, ml::QuantMode mode) {
+void BM_QuantInt8EnsemblePredict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   common::Rng rng(8);  // same seed/shape as BM_BatchedEnsemblePredict
   const ml::BaggingEnsemble ensemble = bench_ensemble(rng);
   ml::QuantCalibration calib;
   calib.lo.assign(9, -8.0F);
   calib.hi.assign(9, 8.0F);
-  const ml::QuantizedEnsemble quant(
-      ensemble, mode, mode == ml::QuantMode::kInt8 ? &calib : nullptr);
+  const ml::QuantizedEnsemble quant(ensemble, calib);
   const auto x = random_floats(n * 9, rng);
   std::vector<float> out;
   ml::QuantizedEnsemble::Scratch scratch;
@@ -235,16 +234,7 @@ void BM_QuantEnsemblePredict(benchmark::State& state, ml::QuantMode mode) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-
-void BM_QuantInt8EnsemblePredict(benchmark::State& state) {
-  BM_QuantEnsemblePredict(state, ml::QuantMode::kInt8);
-}
 BENCHMARK(BM_QuantInt8EnsemblePredict)->Arg(65536);
-
-void BM_QuantFp16EnsemblePredict(benchmark::State& state) {
-  BM_QuantEnsemblePredict(state, ml::QuantMode::kFp16);
-}
-BENCHMARK(BM_QuantFp16EnsemblePredict)->Arg(65536);
 
 }  // namespace
 

@@ -2,11 +2,14 @@
 // trajectory over the Table-2 spaces. For every space and thread count it
 // times the dense range scan (predict_range_ms) and the streaming top-M scan
 // (predict_scan_top_m) on ALL inference paths — the scalar fp64 reference,
-// the batched SIMD fp32 engine, and the quantized int8 and fp16 tiers —
-// checks that every approximate path's top-M selection is identical to the
-// fp64 one (indices and values), checks determinism across thread counts,
-// and writes BENCH_scan.json. Speedups are always against the same-run fp64
-// baseline, so columns within one report are directly comparable.
+// the certified batched SIMD fp32 engine (the default), and the quantized
+// int8 tier — checks that every approximate path's top-M selection is
+// identical to the fp64 one (indices and values), that the coarse-pass error
+// observed on the re-ranked rows stays within the bound in force (the fp32
+// certificate, the int8 declared bound), checks determinism across thread
+// counts, and writes BENCH_scan.json with both error figures per path.
+// Speedups are always against the same-run fp64 baseline, so columns within
+// one report are directly comparable.
 //
 // The model is trained on synthetic (strictly positive) times so the bench
 // exercises exactly the prediction path — no device simulation involved.
@@ -16,8 +19,10 @@
 //     on both entry points (range scan and top-M scan);
 //   * quantized int8 must sustain >= 2x the range-scan configs/sec of the
 //     batched fp32 path (the tier exists to beat fp32, not just fp64).
-// The top-M selection must match fp64 exactly on every path (also under
-// --smoke — the quantized exactness cell ctest runs). Exit code 1 on any
+// The top-M selection must match fp64 exactly on every path, the observed
+// coarse-pass error must not exceed the bound in force, and the fp32 path
+// must run on its certificate rather than fall back to fp64 (all three also
+// under --smoke — the exactness cell ctest runs). Exit code 1 on any
 // violation.
 //
 // Flags:
@@ -73,7 +78,7 @@ double synthetic_time_ms(const pt::tuner::Configuration& config) {
 
 /// One inference path at one thread count.
 struct PathRun {
-  std::string inference;  // "fp64" | "fp32" | "int8" | "fp16"
+  std::string inference;  // "fp64" | "fp32" | "int8"
   double range_ms = 0.0;
   double range_configs_per_sec = 0.0;
   double top_m_ms = 0.0;
@@ -81,6 +86,11 @@ struct PathRun {
   std::uint64_t fp64_reranked = 0;
   std::uint64_t quant_reranked = 0;
   std::uint64_t near_ties = 0;
+  // Coarse-pass error bound in force and the max error observed on the
+  // re-ranked rows (both 0 on fp64), raw output units.
+  double error_bound = 0.0;
+  double observed_error = 0.0;
+  bool fp64_fallback = false;
   // Against the same-run fp64 baseline (1.0 for the baseline itself).
   double range_speedup = 1.0;
   double top_m_speedup = 1.0;
@@ -102,6 +112,7 @@ struct SpaceReport {
   std::vector<Run> runs;
   bool deterministic = true;
   bool top_m_match = true;
+  bool error_within_bound = true;
   bool gate_pass = true;
 };
 
@@ -109,7 +120,6 @@ constexpr pt::tuner::ScanInference kInferences[] = {
     pt::tuner::ScanInference::kScalarFp64,
     pt::tuner::ScanInference::kBatchedFp32,
     pt::tuner::ScanInference::kQuantInt8,
-    pt::tuner::ScanInference::kFp16,
 };
 
 PathRun run_path(pt::tuner::AnnPerformanceModel& model,
@@ -136,6 +146,9 @@ PathRun run_path(pt::tuner::AnnPerformanceModel& model,
     run.fp64_reranked = scan.fp64_reranked;
     run.quant_reranked = scan.quant_reranked;
     run.near_ties = scan.near_ties;
+    run.error_bound = scan.error_bound;
+    run.observed_error = scan.observed_error;
+    run.fp64_fallback = scan.fp64_fallback;
     run.top_indices.reserve(scan.top.size());
     for (const auto& c : scan.top) {
       run.top_indices.push_back(c.index);
@@ -221,6 +234,8 @@ int main(int argc, char** argv) {
         path.top_m_match = path.top_indices == fp64.top_indices &&
                            path.top_values == fp64.top_values;
         if (!path.top_m_match) report.top_m_match = false;
+        if (path.observed_error > path.error_bound || path.fp64_fallback)
+          report.error_within_bound = false;
       }
 
       // Determinism: every path and thread count selects the same top-M.
@@ -233,11 +248,16 @@ int main(int argc, char** argv) {
       }
 
       std::cout << name << " threads=" << threads;
-      for (const PathRun& path : run.paths)
+      for (const PathRun& path : run.paths) {
         std::cout << " " << path.inference << "="
                   << static_cast<std::uint64_t>(path.range_configs_per_sec)
                   << " cfg/s (x" << path.range_speedup
-                  << ", match=" << path.top_m_match << ")";
+                  << ", match=" << path.top_m_match;
+        if (path.error_bound > 0.0)
+          std::cout << ", err " << path.observed_error << " <= "
+                    << path.error_bound;
+        std::cout << ")";
+      }
       std::cout << "\n" << std::flush;
       report.runs.push_back(std::move(run));
     }
@@ -256,6 +276,12 @@ int main(int argc, char** argv) {
     if (!report.top_m_match) {
       std::cout << "FAIL: " << name
                 << ": an approximate top-M differs from fp64\n";
+      all_match = false;
+    }
+    if (!report.error_within_bound) {
+      std::cout << "FAIL: " << name
+                << ": observed coarse-pass error above the bound in force "
+                   "(or the fp32 certificate was refused)\n";
       all_match = false;
     }
     if (!report.deterministic) {
@@ -291,6 +317,7 @@ int main(int argc, char** argv) {
     entry.set("fit_ms", r.fit_ms);
     entry.set("deterministic_across_threads", r.deterministic);
     entry.set("top_m_match", r.top_m_match);
+    entry.set("error_within_bound", r.error_within_bound);
     entry.set("gate_pass", r.gate_pass);
     common::json::Value runs = common::json::Value::array();
     for (const auto& run : r.runs) {
@@ -309,6 +336,9 @@ int main(int argc, char** argv) {
         path_json.set("fp64_reranked", p.fp64_reranked);
         path_json.set("quant_reranked", p.quant_reranked);
         path_json.set("near_ties", p.near_ties);
+        path_json.set("error_bound", p.error_bound);
+        path_json.set("observed_error", p.observed_error);
+        path_json.set("fp64_fallback", p.fp64_fallback);
         path_json.set("top_m_match", p.top_m_match);
         paths.push(std::move(path_json));
       }

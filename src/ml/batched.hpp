@@ -24,8 +24,25 @@
 // Accuracy: everything is fp32 with fused multiply-adds, so raw outputs can
 // differ from the fp64 reference by ~1e-6..1e-5 in standardized-output
 // units. Callers that need fp64-identical *ranking* (tuner/scan.hpp) re-rank
-// near-tie candidates through the fp64 path; ScanOptions::fp32_error_bound
-// is the contract between the two.
+// near-tie candidates through the fp64 path. The width of that band is a
+// per-model *certificate*: given the input box the scan will feed (per-
+// feature [lo, hi] of the fp32 rows, RangeEncoder::calibration()), the
+// BatchedEnsemble constructor runs a forward error analysis at pack time and
+// stores a sound upper bound on |fp32 raw output - fp64 raw output| over that
+// box (error_bound()). The bound sums, per layer and per unit:
+//  - the casts to fp32 of the inputs, the weights and the scaler-folded
+//    biases (unit roundoff u = 2^-24; the fold itself is fp64 arithmetic);
+//  - the FMA chain, gamma_n * sum |w| |x|, with |x| taken from outward-
+//    rounded interval propagation of the box through the network;
+//  - each activation's Lipschitz constant over its propagated pre-activation
+//    interval (widened by the error so far) times the incoming error, plus
+//    the documented SIMD evaluation bounds (sigmoid 8 ULP; tanh 2^-21);
+//  - the same terms for the fp64 reference itself (u = 2^-53), which is a
+//    computed result too;
+//  - the member mean: K rounded adds and the rounded 1/K.
+// On the paper's default ensembles this certifies ~1e-4 while the observed
+// error is below 1e-6; the property tests in tests/ml/test_batched.cpp check
+// certificate >= observed error over random topologies, weights and boxes.
 
 #include <cstddef>
 #include <memory>
@@ -93,14 +110,24 @@ class BatchedMlp {
 class BatchedEnsemble {
  public:
   /// Packs a fitted ensemble; throws std::invalid_argument if it is not
-  /// fitted and std::runtime_error if the SIMD backend fails verification
-  /// (simd::ensure_verified runs before the first pack in the process).
-  explicit BatchedEnsemble(const BaggingEnsemble& ensemble);
+  /// fitted (or `box` has the wrong width) and std::runtime_error if the
+  /// SIMD backend fails verification (simd::ensure_verified runs before the
+  /// first pack in the process). With an input `box` — every row later fed
+  /// to predict_batch_into lies inside it — the error certificate is
+  /// computed for it; without one error_bound() is +infinity.
+  explicit BatchedEnsemble(const BaggingEnsemble& ensemble,
+                           const QuantCalibration* box = nullptr);
 
   [[nodiscard]] std::size_t input_width() const noexcept { return inputs_; }
   [[nodiscard]] std::size_t member_count() const noexcept {
     return members_.size();
   }
+  /// Sound bound on |fp32 raw output - fp64 raw output| (BaggingEnsemble::
+  /// predict_batch_into on the unrounded features) for rows inside box();
+  /// +infinity when no box was given or the analysis overflowed.
+  [[nodiscard]] double error_bound() const noexcept { return error_bound_; }
+  /// The box the certificate holds for (empty without one).
+  [[nodiscard]] const QuantCalibration& box() const noexcept { return box_; }
 
   using Scratch = BatchedMlp::Scratch;
 
@@ -113,6 +140,8 @@ class BatchedEnsemble {
   std::size_t inputs_;
   float inv_k_;
   std::vector<BatchedMlp> members_;
+  QuantCalibration box_;
+  double error_bound_;
 };
 
 /// Lazily-built, shared BatchedEnsemble for model classes that expose both
@@ -130,17 +159,16 @@ class BatchedEnsembleCache {
   BatchedEnsembleCache& operator=(BatchedEnsembleCache&& other) noexcept;
   ~BatchedEnsembleCache() = default;
 
-  /// The packed engine for `ensemble`, building it on first call. The caller
-  /// must reset() whenever the ensemble is refitted or restored.
+  /// The fp32 engine for `ensemble`, certified over `box`, building it on
+  /// first call. Keyed by the box: asking with a different one (e.g. input-
+  /// aware instance tails changed) repacks and replaces the cached engine.
+  /// The caller must reset() whenever the ensemble is refitted or restored.
   [[nodiscard]] std::shared_ptr<const BatchedEnsemble> get(
-      const BaggingEnsemble& ensemble) const;
+      const BaggingEnsemble& ensemble, const QuantCalibration& box) const;
 
-  /// The quantized engine for `ensemble` in `mode`, building it on first
-  /// call. The int8 slot is keyed by the calibration as well: asking with a
-  /// different calibration (e.g. input-aware instance tails changed) repacks
-  /// and replaces the cached engine. fp16 ignores `calibration`.
+  /// The int8 engine for `ensemble`, keyed by the calibration the same way.
   [[nodiscard]] std::shared_ptr<const QuantizedEnsemble> get_quantized(
-      const BaggingEnsemble& ensemble, QuantMode mode,
+      const BaggingEnsemble& ensemble,
       const QuantCalibration& calibration) const;
 
   /// Drop the packed engines (outstanding shared_ptrs stay valid).
@@ -150,7 +178,6 @@ class BatchedEnsembleCache {
   mutable std::mutex mutex_;
   mutable std::shared_ptr<const BatchedEnsemble> engine_;
   mutable std::shared_ptr<const QuantizedEnsemble> int8_engine_;
-  mutable std::shared_ptr<const QuantizedEnsemble> fp16_engine_;
 };
 
 }  // namespace pt::ml

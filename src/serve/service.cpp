@@ -29,15 +29,20 @@ TuneResponse make_failure(const TuneRequest& request, ResponseStatus status,
   return response;
 }
 
-/// The scan inference mode rides on the store's model version: a tune
-/// executed under (say) int8 scan inference must not validate against an
-/// entry cached under fp64 — flipping the mode invalidates the cache the
-/// same way a model-format bump does.
+/// The scan's exactness class rides on the store's model version: a tune
+/// executed under int8 scan inference must not validate against an entry
+/// cached under fp64 — flipping to or from int8 invalidates the cache the
+/// same way a model-format bump does. fp64 and the certified fp32 tier
+/// select the identical top-M, so both keep the "+scan-fp64" tag and a
+/// store written under either stays warm under the other.
 TunedConfigStore::Options with_scan_mode(TunedConfigStore::Options store,
                                          const tuner::AutoTunerOptions& tuner) {
+  const tuner::ScanInference inference = tuner.model.scan.inference;
   store.model_version += "+scan-";
-  store.model_version +=
-      tuner::scan_inference_name(tuner.model.scan.inference);
+  store.model_version += tuner::scan_inference_name(
+      inference == tuner::ScanInference::kQuantInt8
+          ? inference
+          : tuner::ScanInference::kScalarFp64);
   return store;
 }
 

@@ -183,10 +183,11 @@ ScanRowFillerF32 InputAwarePerformanceModel::row_filler_f32(
   };
 }
 
-// Builds the BatchedScan for a reduced-precision inference mode. For the
-// quantized tiers the calibration carries the instance features as
-// degenerate [v, v] tail ranges, so a scan for a different instance repacks
-// the int8 engine (the cache compares calibrations).
+// Builds the BatchedScan for a reduced-precision inference mode. The input
+// box carries the instance features as degenerate [v, v] tail ranges, so a
+// scan for a different instance repacks the engine (the cache compares
+// boxes): the fp32 certificate and the int8 calibration both hold for one
+// instance only.
 struct InputAwarePerformanceModel::ScanEngines {
   std::shared_ptr<const ml::BatchedEnsemble> engine;
   std::shared_ptr<const ml::QuantizedEnsemble> quant;
@@ -197,15 +198,14 @@ InputAwarePerformanceModel::ScanEngines
 InputAwarePerformanceModel::scan_engines(
     const ProblemInstance& instance) const {
   ScanEngines e;
+  const auto inst = instance_features(instance);
+  const std::vector<float> inst_f(inst.begin(), inst.end());
+  const ml::QuantCalibration box = range_encoder_.calibration(inst_f);
   if (options_.scan.inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_);
+    e.engine = batched_.get(ensemble_, box);
     e.batched.engine = e.engine.get();
   } else {
-    const auto inst = instance_features(instance);
-    const std::vector<float> inst_f(inst.begin(), inst.end());
-    e.quant = batched_.get_quantized(ensemble_,
-                                     scan_quant_mode(options_.scan.inference),
-                                     range_encoder_.calibration(inst_f));
+    e.quant = batched_.get_quantized(ensemble_, box);
     e.batched.quant = e.quant.get();
   }
   e.batched.fill = row_filler_f32(instance);

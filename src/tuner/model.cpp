@@ -102,8 +102,10 @@ ScanRowFillerF32 AnnPerformanceModel::row_filler_f32() const {
   };
 }
 
-// Builds the BatchedScan for a reduced-precision inference mode. The shared
-// pointers keep the packed engine alive for the duration of the scan even
+// Builds the BatchedScan for a reduced-precision inference mode; both
+// engines are keyed by the encoder's input box (the fp32 certificate and the
+// int8 calibration hold over it). The shared pointers keep the packed engine
+// alive for the duration of the scan even
 // if the cache is concurrently reset.
 struct AnnPerformanceModel::ScanEngines {
   std::shared_ptr<const ml::BatchedEnsemble> engine;
@@ -114,12 +116,10 @@ struct AnnPerformanceModel::ScanEngines {
 AnnPerformanceModel::ScanEngines AnnPerformanceModel::scan_engines() const {
   ScanEngines e;
   if (options_.scan.inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_);
+    e.engine = batched_.get(ensemble_, range_encoder_.calibration());
     e.batched.engine = e.engine.get();
   } else {
-    e.quant = batched_.get_quantized(ensemble_,
-                                     scan_quant_mode(options_.scan.inference),
-                                     range_encoder_.calibration());
+    e.quant = batched_.get_quantized(ensemble_, range_encoder_.calibration());
     e.batched.quant = e.quant.get();
   }
   e.batched.fill = row_filler_f32();

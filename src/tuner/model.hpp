@@ -36,9 +36,9 @@ class AnnPerformanceModel {
     /// Train on log(time) so squared error means relative error (paper 5.2).
     bool log_targets = true;
     FeatureEncoding encoding = FeatureEncoding::kLog2;
-    /// Scan engine knobs; scan.inference = kBatchedFp32 opts the bulk
-    /// prediction paths into the SIMD engine (top-m results stay identical
-    /// to the fp64 reference, see tuner/scan.hpp).
+    /// Scan engine knobs. The default runs the bulk prediction paths on
+    /// the certified fp32 SIMD engine (top-m results stay identical to the
+    /// fp64 reference, see tuner/scan.hpp); kScalarFp64 pins the reference.
     ScanOptions scan{};
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -89,11 +90,11 @@ class BoundedTopM {
   std::vector<RawCandidate> heap_;
 };
 
-/// Relaxed selection for the batched fp32 path: the best-m heap plus an
-/// overflow list of every candidate within `slack` (= 2x the fp32 error
-/// bound) of the heap cutoff. The heap cutoff only improves as the chunk
-/// streams, so pruning the overflow against the current cutoff never drops
-/// a candidate that the final cutoff would have kept.
+/// Relaxed selection for the reduced-precision paths: the best-m heap plus
+/// an overflow list of every candidate within `slack` (= 2x the coarse-pass
+/// error bound) of the heap cutoff. The heap cutoff only improves as the
+/// chunk streams, so pruning the overflow against the current cutoff never
+/// drops a candidate that the final cutoff would have kept.
 class RelaxedTopM {
  public:
   RelaxedTopM(std::size_t m, double slack) : m_(m), slack_(slack) {
@@ -175,15 +176,45 @@ void require_batched(const ScanOptions& options, const BatchedScan* batched,
                                   "an engine and fp32 row filler");
     return;
   }
-  const ml::QuantMode mode = options.inference == ScanInference::kQuantInt8
-                                 ? ml::QuantMode::kInt8
-                                 : ml::QuantMode::kFp16;
-  if (!batched || !batched->quant || !batched->fill ||
-      batched->quant->mode() != mode)
-    throw std::invalid_argument(
-        std::string(where) + ": " + scan_inference_name(options.inference) +
-        " inference requested without a matching quantized engine and fp32 "
-        "row filler");
+  if (!batched || !batched->quant || !batched->fill)
+    throw std::invalid_argument(std::string(where) +
+                                ": int8 inference requested without a "
+                                "quantized engine and fp32 row filler");
+}
+
+/// The engine a scan actually runs and the coarse-pass error bound in
+/// force. An fp32 request whose certificate is missing or above
+/// kMaxFp32ErrorBound runs on fp64 (fallback set).
+struct ScanPlan {
+  ScanInference inference = ScanInference::kScalarFp64;
+  double bound = 0.0;
+  bool fallback = false;
+};
+
+ScanPlan plan_scan(const ScanOptions& options, const BatchedScan* batched) {
+  switch (options.inference) {
+    case ScanInference::kScalarFp64:
+      return {};
+    case ScanInference::kQuantInt8:
+      return {ScanInference::kQuantInt8, options.quant_error_bound, false};
+    case ScanInference::kBatchedFp32:
+      break;
+  }
+  const double certificate = batched->engine->error_bound();
+  if (!(certificate <= kMaxFp32ErrorBound)) {
+    if (common::telemetry::enabled())
+      common::telemetry::count("tuner.scan.fp64_fallback");
+    return {ScanInference::kScalarFp64, 0.0, true};
+  }
+  return {ScanInference::kBatchedFp32,
+          certificate + batched->extra_fp32_error, false};
+}
+
+/// fp64-pinned options for the no-options overloads.
+ScanOptions fp64_options() {
+  ScanOptions options;
+  options.inference = ScanInference::kScalarFp64;
+  return options;
 }
 
 void gauge_configs_per_sec(std::uint64_t n,
@@ -279,7 +310,7 @@ std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
                                        std::uint64_t begin, std::uint64_t end,
                                        const OutputTransform& transform) {
   return scan_predict_range(ensemble, fill, begin, end, transform,
-                            ScanOptions{}, nullptr);
+                            fp64_options(), nullptr);
 }
 
 std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
@@ -293,10 +324,9 @@ std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
   const std::uint64_t n = end - begin;
   std::vector<double> out(static_cast<std::size_t>(n));
   if (n == 0) return out;
-  const bool quant = options.inference == ScanInference::kQuantInt8 ||
-                     options.inference == ScanInference::kFp16;
-  const bool approx =
-      quant || options.inference == ScanInference::kBatchedFp32;
+  const ScanPlan plan = plan_scan(options, batched);
+  const bool quant = plan.inference == ScanInference::kQuantInt8;
+  const bool approx = plan.inference != ScanInference::kScalarFp64;
   const auto start = std::chrono::steady_clock::now();
 
   ScratchPool pool;
@@ -337,7 +367,7 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
                           const OutputTransform& transform,
                           const ScanFilter& filter) {
   return scan_top_m(ensemble, fill, begin, end, m, transform, filter,
-                    ScanOptions{}, nullptr);
+                    fp64_options(), nullptr);
 }
 
 TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
@@ -354,12 +384,12 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
   const std::uint64_t n = end - begin;
   result.scanned = n;
   if (n == 0 || m == 0) return result;
-  const bool quant = options.inference == ScanInference::kQuantInt8 ||
-                     options.inference == ScanInference::kFp16;
-  const bool approx =
-      quant || options.inference == ScanInference::kBatchedFp32;
-  const double slack = 2.0 * (quant ? options.quant_error_bound
-                                    : options.fp32_error_bound);
+  const ScanPlan plan = plan_scan(options, batched);
+  const bool quant = plan.inference == ScanInference::kQuantInt8;
+  const bool approx = plan.inference != ScanInference::kScalarFp64;
+  const double slack = 2.0 * plan.bound;
+  result.error_bound = plan.bound;
+  result.fp64_fallback = plan.fallback;
   const auto start = std::chrono::steady_clock::now();
 
   const std::size_t chunks = static_cast<std::size_t>(chunk_count_for(n));
@@ -431,7 +461,7 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
     // Survivors of the coarse-pass cutoff (per selection set), then one
     // exact fp64 evaluation per unique survivor, then the fp64-ordered
     // truncation. The result matches the fp64 path exactly whenever the
-    // coarse-pass error stays within the per-mode bound.
+    // coarse-pass error stays within the bound in force.
     std::vector<RawCandidate> unfiltered_survivors =
         fp32_survivors(chunk_top_unfiltered, m, slack);
     std::vector<RawCandidate> filtered_survivors =
@@ -449,6 +479,10 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
     const auto raw64 = rerank_fp64(ensemble, fill, std::move(indices));
     result.fp64_reranked = raw64.size();
     if (quant) result.quant_reranked = result.fp64_reranked;
+    for (const auto* survivors : {&unfiltered_survivors, &filtered_survivors})
+      for (const RawCandidate& c : *survivors)
+        result.observed_error = std::max(
+            result.observed_error, std::fabs(c.raw - raw64.at(c.index)));
     result.top_unfiltered = finish_fp64(unfiltered_survivors, raw64, m, transform);
     result.top = filter ? finish_fp64(filtered_survivors, raw64, m, transform)
                         : result.top_unfiltered;
@@ -468,6 +502,9 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
                                static_cast<double>(result.fp64_reranked));
       common::telemetry::count("tuner.scan.near_ties",
                                static_cast<double>(result.near_ties));
+      common::telemetry::gauge("tuner.scan.error_bound", result.error_bound);
+      common::telemetry::gauge("tuner.scan.observed_error",
+                               result.observed_error);
     }
     if (quant)
       common::telemetry::count("tuner.scan.quant_rerank",

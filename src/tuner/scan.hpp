@@ -23,29 +23,34 @@
 // tie-break makes the order total — merge results cannot depend on chunk
 // arrival order.
 
-// The scan has four inference paths, selected by ScanOptions::inference:
-//  - kScalarFp64 (default): the fp64 reference — per-chunk Matrix fill and
+// The scan has three inference paths, selected by ScanOptions::inference:
+//  - kBatchedFp32 (default): the SIMD fast path — per-chunk fp32 row fill
+//    and a packed ml::BatchedEnsemble forward. Selection stays *exactly*
+//    fp64-identical: each chunk keeps, besides its best-m heap, every
+//    candidate whose fp32 output lies within 2 * B of the heap cutoff, and
+//    after the merge all candidates within that band of the global fp32
+//    cutoff are re-ranked through the fp64 path (whose per-row results are
+//    bit-identical to the fp64 scan's chunked results, because every kernel
+//    under predict_batch_into accumulates per output element in a row-count
+//    independent order). B is the engine's certificate
+//    (ml::BatchedEnsemble::error_bound): a sound bound on |fp32 - fp64| raw
+//    output over the input box of the scan, derived at pack time by forward
+//    error analysis (ml/batched.hpp) — ~1e-4 certified against ~1e-6
+//    observed on the paper's networks. Because |fp32 - fp64| <= B holds for
+//    every scanned row, the returned top-M is the one the fp64 scan would
+//    return, candidate for candidate, predicted values included. A model
+//    whose certificate exceeds kMaxFp32ErrorBound (or has none) is scanned
+//    on the fp64 path instead, and the result says so (fp64_fallback).
+//  - kScalarFp64: the fp64 reference — per-chunk Matrix fill and
 //    BaggingEnsemble::predict_batch_into.
-//  - kBatchedFp32: the SIMD fast path — per-chunk fp32 row fill and a packed
-//    ml::BatchedEnsemble forward. Selection stays *exactly* fp64-identical:
-//    each chunk keeps, besides its best-m heap, every candidate whose fp32
-//    output lies within 2 * fp32_error_bound of the heap cutoff, and after
-//    the merge all candidates within that band of the global fp32 cutoff are
-//    re-ranked through the fp64 path (whose per-row results are bit-identical
-//    to the fp64 scan's chunked results, because every kernel under
-//    predict_batch_into accumulates per output element in a row-count
-//    independent order). As long as |fp32 - fp64| <= fp32_error_bound on raw
-//    outputs — bound ~1e-4, observed ~1e-6 for the paper's networks — the
-//    returned top-M is the one the fp64 scan would return, candidate for
-//    candidate, predicted values included.
-//  - kQuantInt8 / kFp16: the quantized tiers (ml/quant.hpp) — the same
-//    two-tier scheme with a coarser first pass and a wider band: the chunk
-//    heaps keep every candidate within 2 * quant_error_bound of the cutoff,
-//    and every survivor of the merged quantized cutoff is re-ranked through
-//    fp64 (batched — one gathered matrix per rerank chunk). The exactness
-//    contract is the same: whenever |quant raw - fp64 raw| stays within
-//    quant_error_bound, the returned top-M is identical to the fp64 scan's,
-//    indices and predicted values both.
+//  - kQuantInt8: the quantized tier (ml/quant.hpp) — the same two-tier
+//    scheme with a coarser first pass and a wider band: the chunk heaps
+//    keep every candidate within 2 * quant_error_bound of the cutoff, and
+//    every survivor of the merged quantized cutoff is re-ranked through
+//    fp64 (batched — one gathered matrix per rerank chunk). Its bound is a
+//    declared constant, not yet a certificate: whenever |int8 raw - fp64
+//    raw| stays within quant_error_bound, the returned top-M is identical
+//    to the fp64 scan's, indices and predicted values both.
 
 #include <atomic>
 #include <cmath>
@@ -86,14 +91,20 @@ struct ScanCandidate {
   double predicted_ms = 0.0;
 };
 
+/// Largest fp32 certificate (ml::BatchedEnsemble::error_bound, raw
+/// standardized-output units) the scan accepts. Paper-default ensembles
+/// certify ~1e-4; above 1e-2 the re-rank band stops being a thin sliver
+/// around the cutoff, so such a model is scanned on the fp64 path instead.
+inline constexpr double kMaxFp32ErrorBound = 1e-2;
+
 /// Result of scan_top_m. `top` is the best-first filtered selection (equal
 /// to `top_unfiltered` when no filter was given); `rejected` counts filter
 /// rejections, which only happen for candidates good enough to enter a
-/// chunk heap at the moment they were scanned. The last two fields are only
-/// non-zero on the batched fp32 path: `fp64_reranked` counts candidates sent
-/// through the fp64 reference for exact ranking, `near_ties` the subset that
-/// sat outside the fp32 top-m but within the error band (i.e. the ones whose
-/// fate fp64 actually decided).
+/// chunk heap at the moment they were scanned. The re-rank fields are only
+/// non-zero when a reduced-precision pass ran: `fp64_reranked` counts
+/// candidates sent through the fp64 reference for exact ranking,
+/// `near_ties` the subset that sat outside the coarse top-m but within the
+/// error band (i.e. the ones whose fate fp64 actually decided).
 struct TopMScanResult {
   std::vector<ScanCandidate> top;
   std::vector<ScanCandidate> top_unfiltered;
@@ -101,27 +112,26 @@ struct TopMScanResult {
   std::uint64_t rejected = 0;
   std::uint64_t fp64_reranked = 0;
   std::uint64_t near_ties = 0;
-  /// Candidates re-ranked through fp64 because the coarse pass ran on a
-  /// quantized engine (kQuantInt8/kFp16). Equal to fp64_reranked on those
-  /// paths, zero otherwise.
+  /// Candidates re-ranked through fp64 because the coarse pass ran on the
+  /// int8 engine. Equal to fp64_reranked on that path, zero otherwise.
   std::uint64_t quant_reranked = 0;
+  /// The coarse-pass error bound in force (raw output units): the fp32
+  /// certificate or the int8 quant_error_bound; 0 on the fp64 path.
+  double error_bound = 0.0;
+  /// Observed max |coarse raw - fp64 raw| over the re-ranked candidates.
+  /// Exactness needs observed <= bound; a ratio near 1 is an alarm.
+  double observed_error = 0.0;
+  /// True when kBatchedFp32 was requested but the certificate exceeded
+  /// kMaxFp32ErrorBound, so the scan ran on the fp64 path.
+  bool fp64_fallback = false;
 };
 
 /// Which inference engine the scan drives.
 enum class ScanInference {
   kScalarFp64,   // per-chunk fp64 matrix forward (reference)
-  kBatchedFp32,  // packed SIMD fp32 forward with fp64 near-tie re-ranking
+  kBatchedFp32,  // packed SIMD fp32 forward, certified fp64 near-tie re-rank
   kQuantInt8,    // s8-weight/u7-activation forward, wide-band fp64 re-rank
-  kFp16,         // f16-storage/fp32-compute forward, wide-band fp64 re-rank
 };
-
-/// QuantMode behind a quantized scan inference; call only for kQuantInt8 /
-/// kFp16.
-[[nodiscard]] constexpr ml::QuantMode scan_quant_mode(
-    ScanInference inference) noexcept {
-  return inference == ScanInference::kQuantInt8 ? ml::QuantMode::kInt8
-                                                : ml::QuantMode::kFp16;
-}
 
 [[nodiscard]] constexpr const char* scan_inference_name(
     ScanInference inference) noexcept {
@@ -132,8 +142,6 @@ enum class ScanInference {
       return "fp32";
     case ScanInference::kQuantInt8:
       return "int8";
-    case ScanInference::kFp16:
-      return "fp16";
   }
   return "fp64";
 }
@@ -141,19 +149,16 @@ enum class ScanInference {
 /// Scan tuning knobs, carried by the model layer (AnnPerformanceModel
 /// options) so callers opt in without new plumbing at every call site.
 struct ScanOptions {
-  ScanInference inference = ScanInference::kScalarFp64;
-  /// Upper bound assumed on |fp32 raw output - fp64 raw output|. Candidates
-  /// within 2x this bound of the fp32 selection cutoff are re-ranked in
-  /// fp64. In raw (standardized) output units.
-  double fp32_error_bound = 1e-4;
-  /// Same role for the quantized tiers (kQuantInt8/kFp16): assumed upper
-  /// bound on |quantized raw output - fp64 raw output|. Deliberately loose —
-  /// int8 error is dominated by the u7 activation resolution times the
-  /// output layer's L1 norm, measured at ~0.06 worst-case on the paper's
-  /// default ensemble (k=5, 30 sigmoid hidden); tests verify the measured
-  /// error stays under half this bound so it keeps a 2x margin. The band is
-  /// around the top-M cutoff — deep in the tail of the score distribution —
-  /// so widening it re-ranks few extra rows.
+  ScanInference inference = ScanInference::kBatchedFp32;
+  /// Assumed upper bound on |int8 raw output - fp64 raw output| for
+  /// kQuantInt8 (the fp32 tier needs no such option: its bound is the
+  /// engine's certificate). Deliberately loose — int8 error is dominated by
+  /// the u7 activation resolution times the output layer's L1 norm,
+  /// measured at ~0.06 worst-case on the paper's default ensemble (k=5, 30
+  /// sigmoid hidden); tests verify the measured error stays under half this
+  /// bound so it keeps a 2x margin. The band is around the top-M cutoff —
+  /// deep in the tail of the score distribution — so widening it re-ranks
+  /// few extra rows.
   double quant_error_bound = 0.15;
 };
 
@@ -196,13 +201,16 @@ using ScanRowFillerF32 = std::function<void(
 
 /// The reduced-precision engines and their shared fp32 row filler, passed
 /// alongside the fp64 pair when ScanOptions::inference is not kScalarFp64.
-/// kBatchedFp32 uses `engine`; kQuantInt8/kFp16 use `quant` (whose mode must
-/// match the requested inference). The fp64 filler/ensemble are still
-/// required — they are the re-ranking reference.
+/// kBatchedFp32 uses `engine` (certified over the box `fill` stays inside);
+/// kQuantInt8 uses `quant`. The fp64 filler/ensemble are still required —
+/// they are the re-ranking reference.
 struct BatchedScan {
   const ml::BatchedEnsemble* engine = nullptr;
   const ml::QuantizedEnsemble* quant = nullptr;
   ScanRowFillerF32 fill;
+  /// Test seam: added to the fp32 certificate, widening the re-rank band so
+  /// tests can force many near-ties. The models never set it.
+  double extra_fp32_error = 0.0;
 };
 
 /// Predicted (transformed) value for every index in [begin, end), in order.
@@ -212,9 +220,10 @@ struct BatchedScan {
 
 /// As above, honouring options.inference. The non-fp64 paths compute each
 /// prediction at their reduced precision (values may differ from the
-/// reference by up to the transform-scaled per-mode error bound); throws
-/// std::invalid_argument if a reduced-precision inference is requested
-/// without the matching BatchedScan engine.
+/// reference by up to the transform-scaled per-mode error bound; an fp32
+/// engine whose certificate exceeds kMaxFp32ErrorBound falls back to fp64);
+/// throws std::invalid_argument if a reduced-precision inference is
+/// requested without the matching BatchedScan engine.
 [[nodiscard]] std::vector<double> scan_predict_range(
     const ml::BaggingEnsemble& ensemble, const ScanRowFiller& fill,
     std::uint64_t begin, std::uint64_t end, const OutputTransform& transform,
@@ -234,9 +243,10 @@ struct BatchedScan {
 /// As above, honouring options.inference. On the reduced-precision paths
 /// the returned selection (indices *and* predicted values) is identical to
 /// the fp64 reference whenever the coarse-pass error stays within the
-/// per-mode bound (fp32_error_bound or quant_error_bound); throws
-/// std::invalid_argument if a reduced-precision inference is requested
-/// without the matching BatchedScan engine.
+/// bound in force — always on the certified fp32 path, and for int8
+/// whenever quant_error_bound holds; throws std::invalid_argument if a
+/// reduced-precision inference is requested without the matching
+/// BatchedScan engine.
 [[nodiscard]] TopMScanResult scan_top_m(
     const ml::BaggingEnsemble& ensemble, const ScanRowFiller& fill,
     std::uint64_t begin, std::uint64_t end, std::size_t m,

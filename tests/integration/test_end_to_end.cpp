@@ -4,15 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "archsim/devices.hpp"
 #include "benchmarks/registry.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "ml/batched.hpp"
 #include "tuner/autotuner.hpp"
+#include "tuner/features.hpp"
 #include "tuner/iterative.hpp"
 #include "tuner/search.hpp"
 
@@ -274,6 +280,114 @@ TEST(SeedContract, IterativeTunerIgnoresEarlierPlatformTraffic) {
     EXPECT_TRUE(result.success);
     return outcome_of(result, eval.space());
   });
+}
+
+/// Everything stage 2 saw: the model-selected candidates in order (the
+/// scan's top-M, index and predicted time) and every measured time.
+class Stage2Recorder : public tuner::TunerObserver {
+ public:
+  std::vector<std::pair<std::uint64_t, double>> candidates;
+  std::vector<double> measured_ms;
+
+  void on_candidate(std::uint64_t index, double predicted_ms) override {
+    candidates.emplace_back(index, predicted_ms);
+  }
+  void on_measurement(std::string_view /*stage*/,
+                      const tuner::Configuration& /*config*/,
+                      const tuner::Measurement& m) override {
+    measured_ms.push_back(m.time_ms);
+  }
+};
+
+TEST(SeedContract, DefaultScanTuneEqualsFp64Tune) {
+  // The default scan runs on the certified fp32 engine; every fp32 survivor
+  // is re-ranked in fp64, so a default tune must decide exactly what a tune
+  // pinned to the fp64 reference decides — winner, measured times, top-M
+  // indices and predicted values — at any thread count.
+  ASSERT_EQ(tuner::AutoTunerOptions{}.model.scan.inference,
+            tuner::ScanInference::kBatchedFp32);
+  const auto bench = benchkit::make_benchmark("convolution");
+  auto tune = [&](tuner::ScanInference inference, Stage2Recorder& recorder) {
+    const clsim::Platform platform = archsim::default_platform();
+    benchkit::BenchmarkEvaluator eval(
+        *bench, platform.device_by_name(archsim::kNvidiaK40));
+    tuner::AutoTunerOptions options = fast_tuner(150, 15);
+    options.model.scan.inference = inference;
+    tuner::TuneRun request = tuner::TuneRun::with_seed(11);
+    request.context->observer = &recorder;
+    const auto result = tuner::AutoTuner(options).tune(eval, request);
+    EXPECT_TRUE(result.success);
+    return outcome_of(result, eval.space());
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    common::set_global_pool_threads(threads);
+    Stage2Recorder fp64_seen;
+    Stage2Recorder default_seen;
+    const TuneOutcome fp64 = tune(tuner::ScanInference::kScalarFp64, fp64_seen);
+    const TuneOutcome fp32 =
+        tune(tuner::AutoTunerOptions{}.model.scan.inference, default_seen);
+    EXPECT_EQ(fp32.best_config, fp64.best_config) << threads;
+    EXPECT_EQ(fp32.best_time_ms, fp64.best_time_ms) << threads;
+    EXPECT_EQ(fp32.data_gathering_cost_ms, fp64.data_gathering_cost_ms)
+        << threads;
+    EXPECT_EQ(fp32.predictions, fp64.predictions) << threads;
+    ASSERT_FALSE(fp64_seen.candidates.empty());
+    EXPECT_EQ(default_seen.candidates, fp64_seen.candidates) << threads;
+    EXPECT_EQ(default_seen.measured_ms, fp64_seen.measured_ms) << threads;
+  }
+  common::set_global_pool_threads(0);
+}
+
+TEST(ScanCertificate, PaperDefaultEnsembleOverTheFullConvolutionSpace) {
+  // A paper-default ensemble (k = 11, one hidden layer of 30 sigmoids)
+  // fitted on measured convolution@K40 times: over every configuration of
+  // the Table-2 space the observed |fp32 - fp64| raw output must stay
+  // within the certificate, and the certificate must be small enough for
+  // the default scan to use it.
+  const clsim::Platform platform = archsim::default_platform();
+  const auto bench = benchkit::make_benchmark("convolution");
+  benchkit::BenchmarkEvaluator eval(
+      *bench, platform.device_by_name(archsim::kNvidiaK40));
+  const tuner::ParamSpace& space = eval.space();
+  common::Rng rng(5);
+  std::vector<tuner::TrainingSample> samples;
+  while (samples.size() < 300) {
+    const tuner::Configuration config = space.random(rng);
+    const tuner::Measurement m = eval.measure(config);
+    if (m.valid) samples.push_back({config, m.time_ms});
+  }
+  tuner::AnnPerformanceModel model;
+  ASSERT_EQ(model.options().ensemble.k, 11u);
+  model.fit(space, samples, rng);
+
+  const tuner::RangeEncoder encoder(
+      tuner::FeatureCodec::build(space, model.options().encoding), space);
+  const ml::QuantCalibration box = encoder.calibration();
+  const ml::BatchedEnsemble engine(model.ensemble(), &box);
+  const double bound = engine.error_bound();
+  double worst = 0.0;
+  ml::Matrix x;
+  std::vector<float> xf;
+  std::vector<double> raw64;
+  std::vector<float> raw32;
+  ml::BaggingEnsemble::PredictScratch ps;
+  ml::BatchedEnsemble::Scratch bs;
+  for (std::uint64_t lo = 0; lo < space.size(); lo += tuner::kScanChunkRows) {
+    const std::uint64_t hi =
+        std::min<std::uint64_t>(space.size(), lo + tuner::kScanChunkRows);
+    encoder.fill(lo, hi, x);
+    encoder.fill_f32(lo, hi, xf);
+    model.ensemble().predict_batch_into(x, raw64, ps);
+    engine.predict_batch_into(xf.data(), hi - lo, raw32, bs);
+    for (std::size_t r = 0; r < raw64.size(); ++r)
+      worst = std::max(worst,
+                       std::fabs(static_cast<double>(raw32[r]) - raw64[r]));
+  }
+  RecordProperty("certified_bound", std::to_string(bound));
+  RecordProperty("observed_error", std::to_string(worst));
+  EXPECT_GT(worst, 0.0);
+  EXPECT_LE(worst, bound);
+  EXPECT_LE(bound, tuner::kMaxFp32ErrorBound);
 }
 
 }  // namespace

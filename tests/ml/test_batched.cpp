@@ -1,13 +1,17 @@
 // Tests for the batched fp32 inference engine (ml/batched.hpp): parity with
 // the per-row fp64 forward pass across topologies and activations, scaler
-// folding, ensemble averaging, determinism, and cache semantics.
+// folding, ensemble averaging, determinism, cache semantics, and soundness
+// of the pack-time error certificate (certificate >= observed |fp32 - fp64|
+// over random topologies, weights and input boxes).
 
 #include "ml/batched.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -211,26 +215,184 @@ TEST(BatchedEnsemble, UnfittedEnsembleThrows) {
   EXPECT_THROW(ml::BatchedEnsemble{ensemble}, std::invalid_argument);
 }
 
+namespace {
+
+ml::QuantCalibration uniform_box(std::size_t width, float lo, float hi) {
+  ml::QuantCalibration box;
+  box.lo.assign(width, lo);
+  box.hi.assign(width, hi);
+  return box;
+}
+
+/// Largest |fp32 - fp64| raw output over `rows` feature rows drawn in the
+/// box the way a scan produces them: the fp64 path reads a double feature
+/// value, the fp32 path its float cast. The box corners are included.
+double observed_error(const ml::BaggingEnsemble& ensemble,
+                      const ml::BatchedEnsemble& batched,
+                      const ml::QuantCalibration& box, std::size_t rows,
+                      pt::common::Rng& rng) {
+  const std::size_t width = box.width();
+  ml::Matrix x64(rows, width);
+  std::vector<float> x32(rows * width);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < width; ++c) {
+      const double lo = box.lo[c];
+      const double hi = box.hi[c];
+      double v = rng.uniform(lo, hi);
+      if (r == 0) v = lo;
+      if (r == 1) v = hi;
+      x64(r, c) = v;
+      x32[r * width + c] = static_cast<float>(v);
+    }
+  }
+  const std::vector<double> want = ensemble.predict_batch(x64);
+  std::vector<float> got;
+  ml::BatchedEnsemble::Scratch scratch;
+  batched.predict_batch_into(x32.data(), rows, got, scratch);
+  double worst = 0.0;
+  for (std::size_t r = 0; r < rows; ++r)
+    worst = std::max(worst,
+                     std::fabs(static_cast<double>(got[r]) - want[r]));
+  return worst;
+}
+
+ml::Activation random_activation(pt::common::Rng& rng) {
+  constexpr ml::Activation kAll[] = {
+      ml::Activation::kSigmoid, ml::Activation::kTanh, ml::Activation::kRelu,
+      ml::Activation::kLinear};
+  return kAll[rng.below(4)];
+}
+
+/// A random restored ensemble: 1-5 members of one random topology (1-3
+/// hidden layers of 1-40 units, any activation), weights and biases scaled
+/// by up to ~30x past their initialization, and a random feature scaler.
+ml::BaggingEnsemble random_ensemble(std::size_t inputs, pt::common::Rng& rng) {
+  std::vector<ml::LayerSpec> layers;
+  const std::size_t hidden = 1 + rng.below(3);
+  for (std::size_t l = 0; l < hidden; ++l)
+    layers.push_back({1 + rng.below(40), random_activation(rng)});
+  layers.push_back({1, rng.bernoulli(0.6) ? ml::Activation::kLinear
+                                          : random_activation(rng)});
+  const std::size_t k = 1 + rng.below(5);
+  std::vector<ml::Mlp> members;
+  for (std::size_t m = 0; m < k; ++m) {
+    ml::Mlp net(inputs, layers);
+    net.init_weights(rng);
+    for (std::size_t l = 0; l < net.layer_count(); ++l) {
+      const double scale = std::pow(10.0, rng.uniform(-1.0, 1.5));
+      for (double& w : net.weights(l).flat()) w *= scale;
+      for (double& b : net.biases(l)) b = b * scale + rng.uniform(-1.0, 1.0);
+    }
+    members.push_back(std::move(net));
+  }
+  std::vector<double> means(inputs);
+  std::vector<double> stddevs(inputs);
+  for (std::size_t i = 0; i < inputs; ++i) {
+    means[i] = rng.uniform(-5.0, 5.0);
+    stddevs[i] = std::pow(10.0, rng.uniform(-1.0, 1.0));
+  }
+  ml::StandardScaler scaler;
+  scaler.restore(std::move(means), std::move(stddevs));
+  ml::BaggingEnsemble::Options opts;
+  opts.k = k;
+  ml::BaggingEnsemble ensemble(opts);
+  ensemble.restore(opts, std::move(scaler), std::move(members));
+  return ensemble;
+}
+
+}  // namespace
+
+TEST(BatchedCertificate, BoundsObservedErrorOnRandomTopologiesAndBoxes) {
+  pt::common::Rng rng(2024);
+  std::size_t finite = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t inputs = 1 + rng.below(6);
+    const ml::BaggingEnsemble ensemble = random_ensemble(inputs, rng);
+    ml::QuantCalibration box;
+    for (std::size_t i = 0; i < inputs; ++i) {
+      const double center = rng.uniform(-10.0, 10.0);
+      const double width =
+          rng.bernoulli(0.1) ? 0.0 : std::pow(10.0, rng.uniform(-2.0, 1.5));
+      box.lo.push_back(static_cast<float>(center));
+      box.hi.push_back(static_cast<float>(center + width));
+    }
+    const ml::BatchedEnsemble batched(ensemble, &box);
+    const double bound = batched.error_bound();
+    const double seen = observed_error(ensemble, batched, box, 512, rng);
+    EXPECT_LE(seen, bound) << "trial " << trial;
+    if (std::isfinite(bound)) ++finite;
+  }
+  // The analysis must not hide behind +infinity: moderate weights and boxes
+  // stay far below the overflow guard.
+  EXPECT_EQ(finite, 120u);
+}
+
+TEST(BatchedCertificate, TrainedEnsembleIsCertifiedTightly) {
+  const ml::BaggingEnsemble ensemble = fitted_ensemble(11);
+  const auto box = uniform_box(3, 0.0f, 10.0f);
+  const ml::BatchedEnsemble batched(ensemble, &box);
+  pt::common::Rng rng(5);
+  const double seen = observed_error(ensemble, batched, box, 4096, rng);
+  EXPECT_LE(seen, batched.error_bound());
+  // Useful, not just sound: the band it implies stays a thin sliver.
+  EXPECT_LT(batched.error_bound(), 1e-3);
+  EXPECT_GT(batched.error_bound(), 0.0);
+}
+
+TEST(BatchedCertificate, WithoutABoxThereIsNoCertificate) {
+  const ml::BaggingEnsemble ensemble = fitted_ensemble(11);
+  const ml::BatchedEnsemble batched(ensemble);
+  EXPECT_EQ(batched.error_bound(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(batched.box().width(), 0u);
+  const auto narrow = uniform_box(2, 0.0f, 1.0f);
+  EXPECT_THROW(ml::BatchedEnsemble(ensemble, &narrow), std::invalid_argument);
+}
+
+TEST(BatchedCertificate, WiderBoxesNeverCertifyLess) {
+  // Monotone in the box: the analysis over a superset covers the subset.
+  const ml::BaggingEnsemble ensemble = fitted_ensemble(13);
+  const auto inner = uniform_box(3, 2.0f, 4.0f);
+  const auto outer = uniform_box(3, 0.0f, 10.0f);
+  EXPECT_LE(ml::BatchedEnsemble(ensemble, &inner).error_bound(),
+            ml::BatchedEnsemble(ensemble, &outer).error_bound());
+}
+
 TEST(BatchedEnsembleCache, BuildsOnceAndResets) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(17);
+  const auto box = uniform_box(3, 0.0f, 10.0f);
   ml::BatchedEnsembleCache cache;
-  const auto a = cache.get(ensemble);
-  const auto b = cache.get(ensemble);
+  const auto a = cache.get(ensemble, box);
+  const auto b = cache.get(ensemble, box);
   EXPECT_EQ(a.get(), b.get());  // same packed engine
   cache.reset();
-  const auto c = cache.get(ensemble);
+  const auto c = cache.get(ensemble, box);
   EXPECT_NE(a.get(), c.get());  // rebuilt
   EXPECT_EQ(a->member_count(), c->member_count());
+  EXPECT_EQ(a->error_bound(), c->error_bound());
+}
+
+TEST(BatchedEnsembleCache, Fp32SlotIsKeyedByBox) {
+  const ml::BaggingEnsemble ensemble = fitted_ensemble(17);
+  const auto box_a = uniform_box(3, 0.0f, 10.0f);
+  auto box_b = box_a;
+  box_b.lo[2] = box_b.hi[2] = 4.0f;  // e.g. a new input-aware instance tail
+  ml::BatchedEnsembleCache cache;
+  const auto a = cache.get(ensemble, box_a);
+  const auto b = cache.get(ensemble, box_b);
+  EXPECT_NE(a.get(), b.get());  // repacked and re-certified for the new box
+  EXPECT_TRUE(b->box() == box_b);
+  EXPECT_EQ(b.get(), cache.get(ensemble, box_b).get());
 }
 
 TEST(BatchedEnsembleCache, CopyResetsMoveTransfers) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(19);
+  const auto box = uniform_box(3, 0.0f, 10.0f);
   ml::BatchedEnsembleCache cache;
-  const auto original = cache.get(ensemble);
+  const auto original = cache.get(ensemble, box);
 
   ml::BatchedEnsembleCache copy(cache);
-  EXPECT_NE(copy.get(ensemble).get(), original.get());  // copy re-packs
+  EXPECT_NE(copy.get(ensemble, box).get(), original.get());  // copy re-packs
 
   ml::BatchedEnsembleCache moved(std::move(cache));
-  EXPECT_EQ(moved.get(ensemble).get(), original.get());  // move transfers
+  EXPECT_EQ(moved.get(ensemble, box).get(), original.get());  // transfers
 }

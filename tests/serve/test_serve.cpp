@@ -212,9 +212,11 @@ TEST(TuneService, RepeatRequestServedFromStoreAndIdentical) {
 }
 
 TEST(TuneService, ScanModeFlipInvalidatesCachedTunes) {
-  // The store's model version carries the scan inference mode
-  // ("+scan-<mode>"), so a tune cached under fp64 must not answer a
-  // service running quantized inference — and vice versa.
+  // The store's model version carries the scan's exactness class
+  // ("+scan-<mode>"): fp64 and the certified fp32 tier select the identical
+  // top-M and share "+scan-fp64", so flipping between them keeps the store
+  // warm; a tune cached under either must not answer a service running
+  // int8 inference — and vice versa.
   const auto dir = std::filesystem::temp_directory_path() /
                    "pt_serve_test_scan_mode_flip";
   std::filesystem::remove_all(dir);
@@ -222,17 +224,34 @@ TEST(TuneService, ScanModeFlipInvalidatesCachedTunes) {
   RecordingFactory recorder;
   TuneServiceOptions fp64_opts = fast_service_options(1);
   fp64_opts.store.directory = dir.string();
+  fp64_opts.tuner.model.scan.inference = tuner::ScanInference::kScalarFp64;
+  TuneResponse first;
   {
     TuneService service(fp64_opts, recorder.factory());
     EXPECT_EQ(service.store().options().model_version, "v1+scan-fp64");
-    const TuneResponse first = Session(service, "t").tune(bowl_key(), 7);
+    first = Session(service, "t").tune(bowl_key(), 7);
     ASSERT_EQ(first.status, ResponseStatus::kOk);
     EXPECT_FALSE(first.from_cache);
     EXPECT_TRUE(Session(service, "t").tune(bowl_key(), 7).from_cache);
   }
 
-  // Same store directory, scan inference flipped to int8: the fp64 entry
-  // is stale, the tune re-executes and caches under the new version.
+  // Same store directory, scan inference flipped to the fp32 default: the
+  // fp64 entry still answers, unchanged.
+  TuneServiceOptions fp32_opts = fp64_opts;
+  fp32_opts.tuner.model.scan.inference = tuner::ScanInference::kBatchedFp32;
+  {
+    TuneService service(fp32_opts, recorder.factory());
+    EXPECT_EQ(service.store().options().model_version, "v1+scan-fp64");
+    const TuneResponse warm = Session(service, "t").tune(bowl_key(), 7);
+    ASSERT_EQ(warm.status, ResponseStatus::kOk);
+    EXPECT_TRUE(warm.from_cache);
+    EXPECT_EQ(warm.best_config, first.best_config);
+    EXPECT_EQ(warm.best_time_ms, first.best_time_ms);
+  }
+  EXPECT_EQ(recorder.calls().size(), 1u);  // no tune re-executed
+
+  // Scan inference flipped to int8: the entry is stale, the tune
+  // re-executes and caches under the new version.
   TuneServiceOptions int8_opts = fp64_opts;
   int8_opts.tuner.model.scan.inference = tuner::ScanInference::kQuantInt8;
   {
@@ -242,7 +261,7 @@ TEST(TuneService, ScanModeFlipInvalidatesCachedTunes) {
     ASSERT_EQ(flipped.status, ResponseStatus::kOk);
     EXPECT_FALSE(flipped.from_cache);
   }
-  EXPECT_EQ(recorder.calls().size(), 2u);  // one executed tune per mode
+  EXPECT_EQ(recorder.calls().size(), 2u);  // one executed tune per class
 
   // A fresh int8 service over the same directory starts warm again.
   {

@@ -144,7 +144,9 @@ TEST(InputAwareModel, EncodingLayout) {
 TEST(InputAwareModel, PredictRangeMatchesSingle) {
   common::Rng rng(8);
   const ParamSpace space = small_space();
-  InputAwarePerformanceModel model(fast_options());
+  InputAwarePerformanceModel::Options opts = fast_options();
+  opts.scan.inference = ScanInference::kScalarFp64;  // the fp64 path itself
+  InputAwarePerformanceModel model(opts);
   model.fit(space, {"size"},
             family_samples(space, {128.0, 256.0}, 200, rng), rng);
   const ProblemInstance inst{{256.0}};
@@ -158,7 +160,9 @@ TEST(InputAwareModel, PredictRangeMatchesSingle) {
 TEST(InputAwareModel, ScanTopMMatchesFullRanking) {
   common::Rng rng(9);
   const ParamSpace space = small_space();
-  InputAwarePerformanceModel model(fast_options());
+  InputAwarePerformanceModel::Options opts = fast_options();
+  opts.scan.inference = ScanInference::kScalarFp64;  // the fp64 path itself
+  InputAwarePerformanceModel model(opts);
   model.fit(space, {"size"},
             family_samples(space, {128.0, 256.0, 512.0}, 300, rng), rng);
   const ProblemInstance inst{{512.0}};

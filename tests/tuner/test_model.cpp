@@ -84,7 +84,10 @@ TEST(Model, PredictionsArePositiveWithLogTargets) {
 TEST(Model, PredictRangeMatchesSinglePredictions) {
   common::Rng rng(5);
   const auto samples = bowl_samples(100, rng);
-  AnnPerformanceModel model(fast_options());
+  // The dense path on the fp64 reference agrees with predict_ms to 1e-9.
+  AnnPerformanceModel::Options opts = fast_options();
+  opts.scan.inference = ScanInference::kScalarFp64;
+  AnnPerformanceModel model(opts);
   const ParamSpace space = small_space();
   model.fit(space, samples, rng);
   const auto range = model.predict_range_ms(10, 30);
@@ -199,7 +202,9 @@ ParamSpace big_space() {
 }
 
 /// A cheap model (k=1, tiny net) fitted once on synthetic times from the
-/// big space; shared by the scan tests below.
+/// big space; shared by the scan tests below, which check the fp64
+/// reference path itself (chunk seams, thread-count bit-identity, top-M
+/// against the dense vector) and so pin it explicitly.
 const AnnPerformanceModel& big_model() {
   static const AnnPerformanceModel model = [] {
     const ParamSpace space = big_space();
@@ -218,6 +223,7 @@ const AnnPerformanceModel& big_model() {
     opts.ensemble.hidden_layers = {ml::LayerSpec{8, ml::Activation::kSigmoid}};
     opts.ensemble.trainer.common.max_epochs = 80;
     opts.ensemble.trainer.common.patience = 20;
+    opts.scan.inference = ScanInference::kScalarFp64;
     AnnPerformanceModel m(opts);
     m.fit(space, samples, rng);
     return m;

@@ -1,7 +1,10 @@
-// Tests for the batched fp32 scan path (tuner/scan.hpp + tuner/model.hpp):
-// top-M selection must be identical to the fp64 reference — indices and
-// predicted values — at every thread count, with and without a validity
-// filter, including near-tie spaces where fp64 re-ranking does the deciding.
+// Tests for the batched fp32 scan path (tuner/scan.hpp + tuner/model.hpp),
+// the default scan: top-M selection must be identical to the fp64 reference
+// — indices and predicted values — at every thread count, with and without
+// a validity filter, including near-tie spaces where fp64 re-ranking does
+// the deciding; the result must report the certificate in force and the
+// observed error under it, and an uncertified engine must fall back to
+// fp64.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "tuner/features.hpp"
 #include "tuner/model.hpp"
 #include "tuner/scan.hpp"
 
@@ -65,6 +69,36 @@ ScanOptions batched_options() {
   return scan;
 }
 
+ScanOptions fp64_options() {
+  ScanOptions scan;
+  scan.inference = ScanInference::kScalarFp64;
+  return scan;
+}
+
+/// The model's scan inputs rebuilt from its public state, for driving
+/// scan_top_m directly with a hand-made BatchedScan.
+struct DirectScan {
+  RangeEncoder encoder;
+  ScanRowFiller fill;
+  ScanRowFillerF32 fill_f32;
+  OutputTransform transform;
+
+  explicit DirectScan(const AnnPerformanceModel& model)
+      : encoder(FeatureCodec::build(model.space(), model.options().encoding),
+                model.space()),
+        fill([this](std::uint64_t lo, std::uint64_t hi, ml::Matrix& x) {
+          encoder.fill(lo, hi, x);
+        }),
+        fill_f32([this](std::uint64_t lo, std::uint64_t hi,
+                        std::vector<float>& rows) {
+          encoder.fill_f32(lo, hi, rows);
+        }),
+        transform{model.target_scale(), model.target_mean(),
+                  model.options().log_targets} {}
+  DirectScan(const DirectScan&) = delete;
+  DirectScan& operator=(const DirectScan&) = delete;
+};
+
 void expect_same_selection(const TopMScanResult& fp64,
                            const TopMScanResult& fp32) {
   ASSERT_EQ(fp64.top.size(), fp32.top.size());
@@ -94,7 +128,7 @@ TEST_F(ScanBatchedTest, TopMMatchesFp64AtOneAndFourThreads) {
 
   for (const std::size_t threads : {1u, 4u}) {
     common::set_global_pool_threads(threads);
-    model.set_scan_options(ScanOptions{});  // fp64 reference
+    model.set_scan_options(fp64_options());  // fp64 reference
     const auto fp64 = model.predict_scan_top_m(0, space.size(), 25);
     model.set_scan_options(batched_options());
     const auto fp32 = model.predict_scan_top_m(0, space.size(), 25);
@@ -110,7 +144,7 @@ TEST_F(ScanBatchedTest, TopMMatchesFp64WithValidityFilter) {
   // Reject every third index: exercises the filtered heap + re-rank path.
   const ScanFilter filter = [](std::uint64_t idx) { return idx % 3 != 0; };
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(fp64_options());
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 20, filter);
   model.set_scan_options(batched_options());
   const auto fp32 = model.predict_scan_top_m(0, space.size(), 20, filter);
@@ -137,30 +171,80 @@ TEST_F(ScanBatchedTest, Fp32PathIsDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(ScanBatchedTest, WideErrorBandStillMatchesFp64Exactly) {
-  // Inflating the assumed fp32 error widens the near-tie band until it
-  // provably captures neighbours of the cutoff: plenty of candidates whose
+  // Widening the band past the certificate (the BatchedScan test seam)
+  // makes it capture neighbours of the cutoff: plenty of candidates whose
   // fate the fp64 re-rank decides. The selection must still be exactly the
   // fp64 one.
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(fp64_options());
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 15);
-  ScanOptions wide = batched_options();
-  wide.fp32_error_bound = 1e-2;
-  model.set_scan_options(wide);
-  const auto fp32 = model.predict_scan_top_m(0, space.size(), 15);
+  const DirectScan direct(model);
+  const ml::QuantCalibration box = direct.encoder.calibration();
+  const ml::BatchedEnsemble engine(model.ensemble(), &box);
+  BatchedScan batched;
+  batched.engine = &engine;
+  batched.fill = direct.fill_f32;
+  batched.extra_fp32_error = 1e-2;
+  const auto fp32 =
+      scan_top_m(model.ensemble(), direct.fill, 0, space.size(), 15,
+                 direct.transform, {}, batched_options(), &batched);
   expect_same_selection(fp64, fp32);
   // The widened band has to produce near-ties; re-ranking must cover them.
   EXPECT_GT(fp32.near_ties, 0u);
   EXPECT_GE(fp32.fp64_reranked, 15u + fp32.near_ties);
+  EXPECT_EQ(fp32.error_bound, engine.error_bound() + 1e-2);
+}
+
+TEST_F(ScanBatchedTest, ReportsCertificateAndObservedError) {
+  const ParamSpace space = big_space();
+  AnnPerformanceModel model = trained_model(space);
+  model.set_scan_options(batched_options());
+  const auto fp32 = model.predict_scan_top_m(0, space.size(), 20);
+  EXPECT_FALSE(fp32.fp64_fallback);
+  EXPECT_GT(fp32.error_bound, 0.0);
+  EXPECT_LE(fp32.error_bound, kMaxFp32ErrorBound);
+  EXPECT_GT(fp32.observed_error, 0.0);
+  EXPECT_LE(fp32.observed_error, fp32.error_bound);
+
+  model.set_scan_options(fp64_options());
+  const auto fp64 = model.predict_scan_top_m(0, space.size(), 20);
+  EXPECT_EQ(fp64.error_bound, 0.0);
+  EXPECT_EQ(fp64.observed_error, 0.0);
+}
+
+TEST_F(ScanBatchedTest, UncertifiedEngineFallsBackToFp64) {
+  // An engine packed without an input box carries no certificate (+inf,
+  // above kMaxFp32ErrorBound): the scan must run on fp64 and say so.
+  const ParamSpace space = big_space();
+  AnnPerformanceModel model = trained_model(space);
+  model.set_scan_options(fp64_options());
+  const auto fp64 = model.predict_scan_top_m(0, space.size(), 10);
+  const DirectScan direct(model);
+  const ml::BatchedEnsemble uncertified(model.ensemble());
+  BatchedScan batched;
+  batched.engine = &uncertified;
+  batched.fill = direct.fill_f32;
+  const auto scan =
+      scan_top_m(model.ensemble(), direct.fill, 0, space.size(), 10,
+                 direct.transform, {}, batched_options(), &batched);
+  EXPECT_TRUE(scan.fp64_fallback);
+  EXPECT_EQ(scan.fp64_reranked, 0u);
+  EXPECT_EQ(scan.error_bound, 0.0);
+  expect_same_selection(fp64, scan);
+  const auto range = scan_predict_range(model.ensemble(), direct.fill, 0, 100,
+                                        direct.transform, batched_options(),
+                                        &batched);
+  model.set_scan_options(fp64_options());
+  EXPECT_EQ(range, model.predict_range_ms(0, 100));
 }
 
 TEST_F(ScanBatchedTest, PredictRangeStaysWithinErrorBound) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(fp64_options());
   const auto fp64 = model.predict_range_ms(60000, 70000);  // spans the chunk seam
   model.set_scan_options(batched_options());
   const auto fp32 = model.predict_range_ms(60000, 70000);
@@ -171,27 +255,6 @@ TEST_F(ScanBatchedTest, PredictRangeStaysWithinErrorBound) {
     const double rel = std::fabs(fp32[i] - fp64[i]) / fp64[i];
     EXPECT_LT(rel, 1e-3) << "i = " << i;
   }
-}
-
-TEST_F(ScanBatchedTest, MeasuredFp32ErrorIsWellInsideTheBound) {
-  // The correctness of the exact-top-M argument rests on
-  // |raw32 - raw64| <= fp32_error_bound. Verify the real error keeps a wide
-  // margin: compare raw outputs via the log of the predicted times.
-  const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
-  const double scale = model.target_scale();
-
-  model.set_scan_options(ScanOptions{});
-  const auto fp64 = model.predict_range_ms(0, 4096);
-  model.set_scan_options(batched_options());
-  const auto fp32 = model.predict_range_ms(0, 4096);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < fp64.size(); ++i) {
-    const double raw_err =
-        std::fabs(std::log(fp32[i]) - std::log(fp64[i])) / scale;
-    worst = std::max(worst, raw_err);
-  }
-  EXPECT_LT(worst, 0.5 * ScanOptions{}.fp32_error_bound);
 }
 
 TEST_F(ScanBatchedTest, BatchedWithoutEngineThrows) {
@@ -230,7 +293,7 @@ TEST_F(ScanBatchedTest, RefitRebuildsTheBatchedEngine) {
   model.set_scan_options(batched_options());
 
   const auto fp32 = model.predict_scan_top_m(0, 2000, 10);
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(fp64_options());
   const auto fp64 = model.predict_scan_top_m(0, 2000, 10);
   expect_same_selection(fp64, fp32);
 }

@@ -1,4 +1,4 @@
-// Tests for the quantized scan paths (tuner/scan.hpp kQuantInt8/kFp16): the
+// Tests for the quantized scan path (tuner/scan.hpp kQuantInt8): the
 // top-M selection must be exactly the fp64 reference — indices and predicted
 // values — at 1 and 4 threads, with validity filters, under adversarially
 // widened near-tie bands, and through the input-aware model (whose instance
@@ -63,7 +63,7 @@ AnnPerformanceModel trained_model(const ParamSpace& space) {
   return model;
 }
 
-ScanOptions quant_options(ScanInference inference) {
+ScanOptions with_inference(ScanInference inference) {
   ScanOptions scan;
   scan.inference = inference;
   return scan;
@@ -96,19 +96,18 @@ TEST_F(ScanQuantTest, TopMMatchesFp64AtOneAndFourThreads) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
 
-  for (const auto inference :
-       {ScanInference::kQuantInt8, ScanInference::kFp16}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      common::set_global_pool_threads(threads);
-      model.set_scan_options(ScanOptions{});  // fp64 reference
-      const auto fp64 = model.predict_scan_top_m(0, space.size(), 25);
-      model.set_scan_options(quant_options(inference));
-      const auto quant = model.predict_scan_top_m(0, space.size(), 25);
-      EXPECT_EQ(quant.scanned, space.size());
-      EXPECT_GE(quant.quant_reranked, 25u);
-      EXPECT_EQ(quant.quant_reranked, quant.fp64_reranked);
-      expect_same_selection(fp64, quant);
-    }
+  for (const std::size_t threads : {1u, 4u}) {
+    common::set_global_pool_threads(threads);
+    model.set_scan_options(with_inference(ScanInference::kScalarFp64));
+    const auto fp64 = model.predict_scan_top_m(0, space.size(), 25);
+    model.set_scan_options(with_inference(ScanInference::kQuantInt8));
+    const auto quant = model.predict_scan_top_m(0, space.size(), 25);
+    EXPECT_EQ(quant.scanned, space.size());
+    EXPECT_GE(quant.quant_reranked, 25u);
+    EXPECT_EQ(quant.quant_reranked, quant.fp64_reranked);
+    EXPECT_EQ(quant.error_bound, ScanOptions{}.quant_error_bound);
+    EXPECT_LE(quant.observed_error, quant.error_bound);
+    expect_same_selection(fp64, quant);
   }
 }
 
@@ -118,9 +117,9 @@ TEST_F(ScanQuantTest, TopMMatchesFp64WithValidityFilter) {
   // Reject every third index: exercises the filtered heap + re-rank path.
   const ScanFilter filter = [](std::uint64_t idx) { return idx % 3 != 0; };
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(with_inference(ScanInference::kScalarFp64));
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 20, filter);
-  model.set_scan_options(quant_options(ScanInference::kQuantInt8));
+  model.set_scan_options(with_inference(ScanInference::kQuantInt8));
   const auto quant = model.predict_scan_top_m(0, space.size(), 20, filter);
   expect_same_selection(fp64, quant);
   for (const auto& c : quant.top) EXPECT_NE(c.index % 3, 0u);
@@ -129,7 +128,7 @@ TEST_F(ScanQuantTest, TopMMatchesFp64WithValidityFilter) {
 TEST_F(ScanQuantTest, QuantPathIsDeterministicAcrossThreadCounts) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
-  model.set_scan_options(quant_options(ScanInference::kQuantInt8));
+  model.set_scan_options(with_inference(ScanInference::kQuantInt8));
 
   common::set_global_pool_threads(1);
   const auto one = model.predict_scan_top_m(0, space.size(), 30);
@@ -152,9 +151,9 @@ TEST_F(ScanQuantTest, AdversarialNearTieBandStillMatchesFp64Exactly) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(with_inference(ScanInference::kScalarFp64));
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 15);
-  ScanOptions wide = quant_options(ScanInference::kQuantInt8);
+  ScanOptions wide = with_inference(ScanInference::kQuantInt8);
   wide.quant_error_bound = 0.5;
   model.set_scan_options(wide);
   const auto quant = model.predict_scan_top_m(0, space.size(), 15);
@@ -166,26 +165,22 @@ TEST_F(ScanQuantTest, AdversarialNearTieBandStillMatchesFp64Exactly) {
 TEST_F(ScanQuantTest, MeasuredQuantErrorHasTwoTimesMarginOnDeclaredBound) {
   // The exactness argument rests on |quant raw - fp64 raw| staying within
   // quant_error_bound; verify the measured error keeps a 2x margin on a
-  // trained model, for both quantized modes, via logs of predicted times.
+  // trained model, via logs of predicted times.
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
   const double scale = model.target_scale();
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(with_inference(ScanInference::kScalarFp64));
   const auto fp64 = model.predict_range_ms(0, 4096);
-  for (const auto inference :
-       {ScanInference::kQuantInt8, ScanInference::kFp16}) {
-    model.set_scan_options(quant_options(inference));
-    const auto quant = model.predict_range_ms(0, 4096);
-    double worst = 0.0;
-    for (std::size_t i = 0; i < fp64.size(); ++i) {
-      const double raw_err =
-          std::fabs(std::log(quant[i]) - std::log(fp64[i])) / scale;
-      worst = std::max(worst, raw_err);
-    }
-    EXPECT_LT(worst, 0.5 * ScanOptions{}.quant_error_bound)
-        << scan_inference_name(inference);
+  model.set_scan_options(with_inference(ScanInference::kQuantInt8));
+  const auto quant = model.predict_range_ms(0, 4096);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < fp64.size(); ++i) {
+    const double raw_err =
+        std::fabs(std::log(quant[i]) - std::log(fp64[i])) / scale;
+    worst = std::max(worst, raw_err);
   }
+  EXPECT_LT(worst, 0.5 * ScanOptions{}.quant_error_bound);
 }
 
 TEST_F(ScanQuantTest, InputAwareQuantScanMatchesFp64) {
@@ -216,10 +211,10 @@ TEST_F(ScanQuantTest, InputAwareQuantScanMatchesFp64) {
 
   for (const double size : {64.0, 1024.0}) {
     const ProblemInstance instance{{size}};
-    model.set_scan_options(ScanOptions{});
+    model.set_scan_options(with_inference(ScanInference::kScalarFp64));
     const auto fp64 =
         model.predict_scan_top_m(0, space.size(), 10, instance);
-    model.set_scan_options(quant_options(ScanInference::kQuantInt8));
+    model.set_scan_options(with_inference(ScanInference::kQuantInt8));
     const auto quant =
         model.predict_scan_top_m(0, space.size(), 10, instance);
     expect_same_selection(fp64, quant);
@@ -230,7 +225,7 @@ TEST_F(ScanQuantTest, InputAwareQuantScanMatchesFp64) {
 TEST_F(ScanQuantTest, QuantWithoutMatchingEngineThrows) {
   const ml::BaggingEnsemble unused;
   const ScanRowFiller fill = [](std::uint64_t, std::uint64_t, ml::Matrix&) {};
-  const ScanOptions opts = quant_options(ScanInference::kQuantInt8);
+  const ScanOptions opts = with_inference(ScanInference::kQuantInt8);
   EXPECT_THROW((void)scan_top_m(unused, fill, 0, 10, 3, OutputTransform{}, {},
                                 opts, nullptr),
                std::invalid_argument);
@@ -246,10 +241,10 @@ TEST_F(ScanQuantTest, QuantWithoutMatchingEngineThrows) {
 TEST_F(ScanQuantTest, Fp64PathReportsNoQuantRerank) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(with_inference(ScanInference::kScalarFp64));
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 5);
   EXPECT_EQ(fp64.quant_reranked, 0u);
-  model.set_scan_options(quant_options(ScanInference::kBatchedFp32));
+  model.set_scan_options(with_inference(ScanInference::kBatchedFp32));
   const auto fp32 = model.predict_scan_top_m(0, space.size(), 5);
   EXPECT_EQ(fp32.quant_reranked, 0u);
 }
