@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
 
   tuner::InputAwarePerformanceModel model;
   model.fit(train_evals.front().eval->space(), {"image_size"}, training,
-            rng);
+            tuner::TuneRun::with_rng(rng));
   std::cout << "  [input-aware model trained on " << training.size()
             << " samples across " << train_sizes.size() << " sizes]\n";
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <string>
 #include <unordered_set>
 
 #include "common/log.hpp"
@@ -22,14 +21,6 @@ double host_ms_since(
       .count();
 }
 
-/// Per-status rejection counters ("tuner.rejections.CL_...").
-void count_rejections(const RejectionCounts& rejections) {
-  if (!tel::enabled()) return;
-  for (const auto& [status, n] : rejections.sorted())
-    tel::count(std::string("tuner.rejections.") + clsim::to_string(status),
-               static_cast<double>(n));
-}
-
 }  // namespace
 
 AutoTuner::AutoTuner(AutoTunerOptions options) : options_(std::move(options)) {
@@ -42,115 +33,21 @@ AutoTuner::AutoTuner(AutoTunerOptions options) : options_(std::move(options)) {
 AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
                                const TuneRun& request) const {
   const TunerRunContext& run = request.effective_context(options_.run);
+  common::Rng own_rng = run.make_rng();
+  common::Rng& rng = request.rng != nullptr ? *request.rng : own_rng;
   const RandomSampler default_sampler;
   const Sampler& sampler =
       request.sampler != nullptr ? *request.sampler : default_sampler;
-  const std::size_t stream_limit =
-      request.stage2_stream_limit.value_or(options_.stage2_stream_limit);
-  if (request.rng != nullptr)
-    return run_tune(evaluator, sampler, *request.rng, run, stream_limit);
-  common::Rng rng = run.make_rng();
-  return run_tune(evaluator, sampler, rng, run, stream_limit);
-}
 
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator) const {
-  return tune(evaluator, TuneRun{});
-}
-
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
-                               const Sampler& sampler) const {
-  TuneRun request;
-  request.sampler = &sampler;
-  return tune(evaluator, request);
-}
-
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator, common::Rng& rng) const {
-  TuneRun request;
-  request.rng = &rng;
-  return tune(evaluator, request);
-}
-
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator, const Sampler& sampler,
-                               common::Rng& rng) const {
-  TuneRun request;
-  request.sampler = &sampler;
-  request.rng = &rng;
-  return tune(evaluator, request);
-}
-
-AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
-                                   common::Rng& rng,
-                                   const TunerRunContext& run,
-                                   std::size_t stream_limit) const {
   const ScopedRunContext scoped(run);
   StageScope whole(run, "autotuner", "autotuner.tune");
 
   AutoTuneResult result;
   const ParamSpace& space = evaluator.space();
-
-  // Cache hit/miss deltas: snapshot any CachingEvaluator in the stack now,
-  // report the difference when the run ends.
-  CachingEvaluator* cache = find_layer<CachingEvaluator>(&evaluator);
-  const std::size_t cache_hits_before = cache != nullptr ? cache->hits() : 0;
-  const std::size_t cache_misses_before =
-      cache != nullptr ? cache->misses() : 0;
-
-  // clstat pre-filter tallies (bumped by scan workers during stage 2).
-  StaticPruneCounters static_counters;
+  RunLedger ledger("autotuner", evaluator, run, options_.static_checker.get(),
+                   result);
 
   auto finalize = [&] {
-    if (cache != nullptr) {
-      result.cache_hits = cache->hits() - cache_hits_before;
-      result.cache_misses = cache->misses() - cache_misses_before;
-      const std::size_t lookups = result.cache_hits + result.cache_misses;
-      common::log_info("autotuner[", evaluator.name(), "]: cache ",
-                       result.cache_hits, " hits / ", result.cache_misses,
-                       " misses (hit rate ",
-                       lookups != 0 ? 100.0 * static_cast<double>(
-                                                  result.cache_hits) /
-                                          static_cast<double>(lookups)
-                                    : 0.0,
-                       "%)");
-      if (tel::enabled() && lookups != 0)
-        tel::gauge("tuner.cache.hit_rate",
-                   static_cast<double>(result.cache_hits) /
-                       static_cast<double>(lookups));
-    }
-    if (options_.static_checker != nullptr) {
-      result.static_checked =
-          static_cast<std::size_t>(static_counters.checked.load());
-      result.static_pruned =
-          static_cast<std::size_t>(static_counters.pruned.load());
-      result.static_proved_valid =
-          static_cast<std::size_t>(static_counters.proved_valid.load());
-      result.static_unknown =
-          static_cast<std::size_t>(static_counters.unknown.load());
-      common::log_info(
-          "autotuner[", evaluator.name(), "]: static filter pruned ",
-          result.static_pruned, " of ", result.static_checked,
-          " checked (pruned fraction ",
-          result.static_checked != 0
-              ? 100.0 * static_cast<double>(result.static_pruned) /
-                    static_cast<double>(result.static_checked)
-              : 0.0,
-          "%; verdicts: ", result.static_proved_valid, " proved valid, ",
-          result.static_pruned, " proved invalid, ", result.static_unknown,
-          " unknown)");
-      if (tel::enabled()) {
-        tel::count("tuner.scan.static_checked",
-                   static_cast<double>(result.static_checked));
-        tel::count("tuner.scan.static_pruned",
-                   static_cast<double>(result.static_pruned));
-        tel::count("tuner.scan.static_proved_valid",
-                   static_cast<double>(result.static_proved_valid));
-        tel::count("tuner.scan.static_unknown",
-                   static_cast<double>(result.static_unknown));
-        if (result.static_checked != 0)
-          tel::gauge("tuner.scan.static_pruned_fraction",
-                     static_cast<double>(result.static_pruned) /
-                         static_cast<double>(result.static_checked));
-      }
-    }
     if (tel::enabled()) {
       tel::count("tuner.stage1.measured",
                  static_cast<double>(result.stage1_measured));
@@ -164,19 +61,12 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
                  static_cast<double>(result.stage2_streamed));
       tel::count("tuner.stage2.filtered",
                  static_cast<double>(result.stage2_filtered));
-      tel::count("tuner.measure.attempts",
-                 static_cast<double>(result.measure_attempts));
-      tel::count("tuner.measure.transient_faults",
-                 static_cast<double>(result.transient_faults));
-      tel::gauge("tuner.data_gathering_cost_ms",
-                 result.data_gathering_cost_ms);
       tel::gauge("tuner.model_training_host_ms",
                  result.model_training_host_ms);
       tel::gauge("tuner.prediction_scan_host_ms",
                  result.prediction_scan_host_ms);
-      count_rejections(result.stage1_rejections);
-      count_rejections(result.stage2_rejections);
     }
+    ledger.finish({&result.stage1_rejections, &result.stage2_rejections});
   };
 
   // --- Stage 1: sample, measure, train. ---
@@ -186,20 +76,13 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
         sampler.sample(space, options_.training_samples, rng);
     result.stage1_measured = samples.size();
     for (const auto& config : samples) {
-      const Measurement m = evaluator.measure(config);
-      result.data_gathering_cost_ms += m.cost_ms;
-      result.measure_attempts += m.attempts;
-      result.transient_faults += m.transient_faults;
-      if (m.valid) {
+      const Measurement m =
+          ledger.measure("stage1", config, result.stage1_rejections,
+                         /*training_sample=*/true);
+      if (m.valid)
         result.training_data.push_back({config, m.time_ms});
-      } else {
+      else
         result.invalid_training_configs.push_back(config);
-        result.stage1_rejections.note(m.status);
-      }
-      if (run.observer != nullptr) {
-        run.observer->on_measurement("stage1", config, m);
-        run.observer->on_sample("stage1", config, m);
-      }
     }
   }
   result.stage1_valid = result.training_data.size();
@@ -227,18 +110,7 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
     result.model_training_host_ms = host_ms_since(start);
     result.model = std::move(model);
   }
-  // Replay per-member training curves in (member, epoch) order — the
-  // members trained concurrently, but the stored curves make the observer
-  // sequence deterministic.
-  if (run.observer != nullptr) {
-    const auto& curves = result.model->ensemble().train_results();
-    for (std::size_t member = 0; member < curves.size(); ++member) {
-      const ml::TrainResult& tr = curves[member];
-      for (std::size_t epoch = 0; epoch < tr.train_loss.size(); ++epoch)
-        run.observer->on_epoch(member, epoch, tr.train_loss[epoch],
-                               tr.monitored_loss[epoch]);
-    }
-  }
+  replay_epochs(run, result.model->ensemble());
 
   // Optional validity classifier (future-work extension): learn from the
   // free valid/invalid labels of stage 1.
@@ -283,9 +155,7 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
         return validity.predict_valid(space.decode(index));
       };
     }
-    if (options_.static_checker != nullptr)
-      filter = make_static_scan_filter(space, *options_.static_checker,
-                                       static_counters, std::move(filter));
+    filter = ledger.scan_filter(space, std::move(filter));
     const TopMScanResult scan = result.model->predict_scan_top_m(
         0, scan_end, options_.second_stage_size, filter);
     candidates.reserve(options_.second_stage_size);
@@ -310,19 +180,14 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
   bool found = false;
   Configuration best_config;
   auto try_candidate = [&](const ScanCandidate& candidate) {
-    if (run.observer != nullptr)
-      run.observer->on_candidate(candidate.index, candidate.predicted_ms);
+    ledger.candidate(candidate);
     const Configuration config = space.decode(candidate.index);
-    const Measurement m = evaluator.measure(config);
-    result.data_gathering_cost_ms += m.cost_ms;
-    result.measure_attempts += m.attempts;
-    result.transient_faults += m.transient_faults;
+    const Measurement m =
+        ledger.measure("stage2", config, result.stage2_rejections,
+                       /*training_sample=*/false);
     ++result.stage2_measured;
-    if (run.observer != nullptr)
-      run.observer->on_measurement("stage2", config, m);
     if (!m.valid) {
       ++result.stage2_invalid;
-      result.stage2_rejections.note(m.status);
       return;
     }
     if (!found || m.time_ms < best_time) {
@@ -336,6 +201,7 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
     for (const ScanCandidate& candidate : candidates) try_candidate(candidate);
   }
 
+  const std::size_t stream_limit = options_.stage2_stream_limit;
   if (!found && stream_limit > result.stage2_measured) {
     // Graceful degradation: every primary candidate failed, so instead of
     // giving no prediction, walk further down the predicted ranking
@@ -351,13 +217,13 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
     std::unordered_set<std::uint64_t> tried;
     for (const ScanCandidate& candidate : candidates)
       tried.insert(candidate.index);
-    std::uint64_t request = candidates.size();
+    std::uint64_t depth = candidates.size();
     while (!found && result.stage2_measured < stream_limit &&
            tried.size() < scan_end) {
-      request = std::min<std::uint64_t>(
-          scan_end, std::max<std::uint64_t>(request * 2, 16));
+      depth = std::min<std::uint64_t>(
+          scan_end, std::max<std::uint64_t>(depth * 2, 16));
       const TopMScanResult more = result.model->predict_scan_top_m(
-          0, scan_end, static_cast<std::size_t>(request));
+          0, scan_end, static_cast<std::size_t>(depth));
       for (const auto& c : more.top) {
         if (found || result.stage2_measured >= stream_limit)
           break;
@@ -365,7 +231,7 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
         ++result.stage2_streamed;
         try_candidate(c);
       }
-      if (request >= scan_end) break;  // ranking fully consumed
+      if (depth >= scan_end) break;  // ranking fully consumed
     }
     if (found)
       common::log_info("autotuner[", evaluator.name(),

@@ -20,6 +20,7 @@
 
 #include "common/rng.hpp"
 #include "tuner/evaluator.hpp"
+#include "tuner/ledger.hpp"
 #include "tuner/model.hpp"
 #include "tuner/observer.hpp"
 #include "tuner/options.hpp"
@@ -59,11 +60,13 @@ struct AutoTunerOptions : TunerOptions {
   /// default so results are bit-identical to the streaming-free tuner
   /// unless a caller opts in. Set it to at least the space size to
   /// guarantee a prediction whenever any valid configuration exists in the
-  /// scanned range. A TuneRun may override it per request.
+  /// scanned range.
   std::size_t stage2_stream_limit = 0;
 };
 
-struct AutoTuneResult {
+/// The fields every tuner reports (measurement cost, attempts, transient
+/// faults, cache deltas, static pre-filter tallies) live in RunTotals.
+struct AutoTuneResult : RunTotals {
   /// False when every stage-2 candidate was invalid (no prediction).
   bool success = false;
   Configuration best_config;
@@ -77,18 +80,10 @@ struct AutoTuneResult {
   /// Stage-2 candidates measured beyond the initial M by the graceful
   /// degradation stream (0 unless stage2_stream_limit kicked in).
   std::size_t stage2_streamed = 0;
-  /// Raw evaluator attempts behind all measurements — equals
-  /// stage1_measured + stage2_measured unless a robustness decorator
-  /// (tuner/robust.hpp) repeated or retried measurements downstream.
-  std::size_t measure_attempts = 0;
-  /// Transient failures absorbed by downstream retry decorators.
-  std::size_t transient_faults = 0;
   /// Why stage-1 / stage-2 measurements were rejected, by status — keeps
   /// "all candidates invalid" diagnosable instead of a bare count.
   RejectionCounts stage1_rejections;
   RejectionCounts stage2_rejections;
-  /// Simulated wall cost of all measurements (compile + run + failures).
-  double data_gathering_cost_ms = 0.0;
   /// Host wall time spent training the ensemble.
   double model_training_host_ms = 0.0;
   /// Host wall time spent scanning predictions.
@@ -108,18 +103,6 @@ struct AutoTuneResult {
   /// chunk's bounded top-M heap are ever tested, so this is a lower bound
   /// on the number of predicted-invalid configurations in the space.
   std::size_t stage2_filtered = 0;
-  /// clstat static pre-filter tallies (all zero unless options.static_checker
-  /// was set). Queries happen lazily at scan heap entry, so static_checked
-  /// is a lower bound on the provable configurations in the space; the
-  /// verdict mix always sums to static_checked.
-  std::size_t static_checked = 0;
-  std::size_t static_pruned = 0;        // kProvedInvalid, skipped
-  std::size_t static_proved_valid = 0;  // kProvedValid, kept
-  std::size_t static_unknown = 0;       // kUnknown, kept
-  /// Cache hit/miss deltas over this run, when a CachingEvaluator is found
-  /// anywhere in the evaluator stack (see find_layer); 0/0 otherwise.
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 };
 
 class AutoTuner {
@@ -131,33 +114,14 @@ class AutoTuner {
     return options_;
   }
 
-  /// Canonical entry point: run both stages against the evaluator as the
-  /// request describes. A default-constructed TuneRun reproduces
-  /// `tune(evaluator)` exactly — context (and so the seed) from
-  /// options().run, the paper's uniform random sampler, the options'
-  /// degradation knobs. All other overloads are thin shims over this one
-  /// and bit-identical to the requests they construct.
+  /// Run both stages against the evaluator as the request describes. The
+  /// default request takes its context (and so the seed) from
+  /// options().run and samples stage 1 with the paper's uniform
+  /// RandomSampler; request.rng and request.sampler override those.
   [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator,
-                                    const TuneRun& request) const;
-
-  /// Shims (the pre-TuneRun API). The rng-taking forms are for callers
-  /// that thread their own generator; they ignore run.seed but honour the
-  /// rest of the context.
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator) const;
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator,
-                                    const Sampler& sampler) const;
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator,
-                                    common::Rng& rng) const;
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator, const Sampler& sampler,
-                                    common::Rng& rng) const;
+                                    const TuneRun& request = {}) const;
 
  private:
-  [[nodiscard]] AutoTuneResult run_tune(Evaluator& evaluator,
-                                        const Sampler& sampler,
-                                        common::Rng& rng,
-                                        const TunerRunContext& run,
-                                        std::size_t stream_limit) const;
-
   AutoTunerOptions options_;
 };
 

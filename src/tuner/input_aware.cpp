@@ -6,6 +6,7 @@
 
 #include "common/stats.hpp"
 #include "ml/scaler.hpp"
+#include "tuner/ledger.hpp"
 
 namespace pt::tuner {
 
@@ -44,34 +45,13 @@ std::vector<double> InputAwarePerformanceModel::encode(
 void InputAwarePerformanceModel::fit(
     const ParamSpace& space, std::vector<std::string> problem_parameter_names,
     const std::vector<InputAwareSample>& samples, const TuneRun& request) {
+  if (request.sampler != nullptr)
+    throw std::invalid_argument(
+        "InputAwarePerformanceModel::fit: TuneRun::sampler is not supported "
+        "(the fit is given its samples)");
   const TunerRunContext& run = request.effective_context(options_.run);
-  if (request.rng != nullptr) {
-    do_fit(space, std::move(problem_parameter_names), samples, *request.rng,
-           run);
-    return;
-  }
-  common::Rng rng = run.make_rng();
-  do_fit(space, std::move(problem_parameter_names), samples, rng, run);
-}
-
-void InputAwarePerformanceModel::fit(
-    const ParamSpace& space, std::vector<std::string> problem_parameter_names,
-    const std::vector<InputAwareSample>& samples) {
-  fit(space, std::move(problem_parameter_names), samples, TuneRun{});
-}
-
-void InputAwarePerformanceModel::fit(
-    const ParamSpace& space, std::vector<std::string> problem_parameter_names,
-    const std::vector<InputAwareSample>& samples, common::Rng& rng) {
-  TuneRun request;
-  request.rng = &rng;
-  fit(space, std::move(problem_parameter_names), samples, request);
-}
-
-void InputAwarePerformanceModel::do_fit(
-    const ParamSpace& space, std::vector<std::string> problem_parameter_names,
-    const std::vector<InputAwareSample>& samples, common::Rng& rng,
-    const TunerRunContext& run) {
+  common::Rng own_rng = run.make_rng();
+  common::Rng& rng = request.rng != nullptr ? *request.rng : own_rng;
   if (samples.empty())
     throw std::invalid_argument("InputAwarePerformanceModel::fit: no samples");
   const ScopedRunContext scoped(run);
@@ -113,17 +93,7 @@ void InputAwarePerformanceModel::do_fit(
   ensemble_ = ml::BaggingEnsemble(options_.ensemble);
   ensemble_.fit(data, rng);
   stage.finish();
-  // Replay per-member training curves in deterministic (member, epoch)
-  // order (see tuner/observer.hpp).
-  if (run.observer != nullptr) {
-    const auto& curves = ensemble_.train_results();
-    for (std::size_t member = 0; member < curves.size(); ++member) {
-      const ml::TrainResult& tr = curves[member];
-      for (std::size_t epoch = 0; epoch < tr.train_loss.size(); ++epoch)
-        run.observer->on_epoch(member, epoch, tr.train_loss[epoch],
-                               tr.monitored_loss[epoch]);
-    }
-  }
+  replay_epochs(run, ensemble_);
 }
 
 double InputAwarePerformanceModel::predict_ms(
@@ -158,58 +128,15 @@ std::vector<double> InputAwarePerformanceModel::predict_many_ms(
   return preds;
 }
 
-OutputTransform InputAwarePerformanceModel::output_transform()
-    const noexcept {
-  return OutputTransform{target_scale_, target_mean_, options_.log_targets};
-}
-
-ScanRowFiller InputAwarePerformanceModel::row_filler(
+EncodedScan InputAwarePerformanceModel::encoded_scan(
     const ProblemInstance& instance) const {
-  // The instance features are fixed across the scan: validate and transform
-  // them once, then the range encoder copies them into every row tail.
-  return [this, inst = instance_features(instance)](
-             std::uint64_t lo, std::uint64_t hi, ml::Matrix& x) {
-    range_encoder_.fill(lo, hi, x, inst);
-  };
-}
-
-ScanRowFillerF32 InputAwarePerformanceModel::row_filler_f32(
-    const ProblemInstance& instance) const {
-  const auto inst = instance_features(instance);
-  std::vector<float> inst_f(inst.begin(), inst.end());
-  return [this, inst_f = std::move(inst_f)](
-             std::uint64_t lo, std::uint64_t hi, std::vector<float>& rows) {
-    range_encoder_.fill_f32(lo, hi, rows, inst_f);
-  };
-}
-
-// Builds the BatchedScan for a reduced-precision inference mode. The input
-// box carries the instance features as degenerate [v, v] tail ranges, so a
-// scan for a different instance repacks the engine (the cache compares
-// boxes): the fp32 certificate and the int8 calibration both hold for one
-// instance only.
-struct InputAwarePerformanceModel::ScanEngines {
-  std::shared_ptr<const ml::BatchedEnsemble> engine;
-  std::shared_ptr<const ml::QuantizedEnsemble> quant;
-  BatchedScan batched;
-};
-
-InputAwarePerformanceModel::ScanEngines
-InputAwarePerformanceModel::scan_engines(
-    const ProblemInstance& instance) const {
-  ScanEngines e;
-  const auto inst = instance_features(instance);
-  const std::vector<float> inst_f(inst.begin(), inst.end());
-  const ml::QuantCalibration box = range_encoder_.calibration(inst_f);
-  if (options_.scan.inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_, box);
-    e.batched.engine = e.engine.get();
-  } else {
-    e.quant = batched_.get_quantized(ensemble_, box);
-    e.batched.quant = e.quant.get();
-  }
-  e.batched.fill = row_filler_f32(instance);
-  return e;
+  return EncodedScan{ensemble_,
+                     batched_,
+                     range_encoder_,
+                     OutputTransform{target_scale_, target_mean_,
+                                     options_.log_targets},
+                     options_.scan,
+                     instance_features(instance)};
 }
 
 std::vector<double> InputAwarePerformanceModel::predict_range_ms(
@@ -217,13 +144,7 @@ std::vector<double> InputAwarePerformanceModel::predict_range_ms(
     const ProblemInstance& instance) const {
   if (!fitted())
     throw std::logic_error("InputAwarePerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines(instance);
-    return scan_predict_range(ensemble_, row_filler(instance), begin, end,
-                              output_transform(), options_.scan, &e.batched);
-  }
-  return scan_predict_range(ensemble_, row_filler(instance), begin, end,
-                            output_transform());
+  return encoded_scan(instance).predict_range(begin, end);
 }
 
 TopMScanResult InputAwarePerformanceModel::predict_scan_top_m(
@@ -231,13 +152,7 @@ TopMScanResult InputAwarePerformanceModel::predict_scan_top_m(
     const ProblemInstance& instance, const ScanFilter& filter) const {
   if (!fitted())
     throw std::logic_error("InputAwarePerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines(instance);
-    return scan_top_m(ensemble_, row_filler(instance), begin, end, m,
-                      output_transform(), filter, options_.scan, &e.batched);
-  }
-  return scan_top_m(ensemble_, row_filler(instance), begin, end, m,
-                    output_transform(), filter);
+  return encoded_scan(instance).top_m(begin, end, m, filter);
 }
 
 }  // namespace pt::tuner

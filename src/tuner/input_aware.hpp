@@ -55,24 +55,15 @@ class InputAwarePerformanceModel {
   InputAwarePerformanceModel() : InputAwarePerformanceModel(Options{}) {}
   explicit InputAwarePerformanceModel(Options options);
 
-  /// Canonical entry point (see tuner/options.hpp): fit as the request
-  /// describes. `problem_parameter_names` fixes the instance layout (and
-  /// the feature order); every sample's instance must have that many
-  /// values. request.sampler and the degradation knobs are ignored.
+  /// Fit as the request describes (see tuner/options.hpp).
+  /// `problem_parameter_names` fixes the instance layout (and the feature
+  /// order); every sample's instance must have that many values. A request
+  /// that sets TuneRun::sampler throws std::invalid_argument (the samples
+  /// are given).
   void fit(const ParamSpace& space,
            std::vector<std::string> problem_parameter_names,
            const std::vector<InputAwareSample>& samples,
-           const TuneRun& request);
-
-  /// Shims (the pre-TuneRun API). The rng-free form draws the RNG from
-  /// options().run.seed; the rng-taking form ignores run.seed but honours
-  /// the rest of the context.
-  void fit(const ParamSpace& space,
-           std::vector<std::string> problem_parameter_names,
-           const std::vector<InputAwareSample>& samples, common::Rng& rng);
-  void fit(const ParamSpace& space,
-           std::vector<std::string> problem_parameter_names,
-           const std::vector<InputAwareSample>& samples);
+           const TuneRun& request = {});
 
   [[nodiscard]] bool fitted() const noexcept { return ensemble_.fitted(); }
   /// Switch scan inference paths on a fitted model.
@@ -112,21 +103,17 @@ class InputAwarePerformanceModel {
       const Configuration& config, const ProblemInstance& instance) const;
 
  private:
-  void do_fit(const ParamSpace& space,
-              std::vector<std::string> problem_parameter_names,
-              const std::vector<InputAwareSample>& samples, common::Rng& rng,
-              const TunerRunContext& run);
   /// Instance features with the optional log2 applied (validated once, then
   /// reused for every row of a scan).
   [[nodiscard]] std::vector<double> instance_features(
       const ProblemInstance& instance) const;
-  /// Scan-engine adapters (see AnnPerformanceModel).
-  [[nodiscard]] OutputTransform output_transform() const noexcept;
-  [[nodiscard]] ScanRowFiller row_filler(const ProblemInstance& instance) const;
-  [[nodiscard]] ScanRowFillerF32 row_filler_f32(
+  /// The bulk-prediction scan at one instance. Its input box carries the
+  /// instance features as degenerate [v, v] tail ranges, so a scan for a
+  /// different instance repacks the engine (the cache compares boxes): the
+  /// fp32 certificate and the int8 calibration both hold for one instance
+  /// only.
+  [[nodiscard]] EncodedScan encoded_scan(
       const ProblemInstance& instance) const;
-  struct ScanEngines;
-  [[nodiscard]] ScanEngines scan_engines(const ProblemInstance& instance) const;
 
   Options options_;
   ParamSpace space_;

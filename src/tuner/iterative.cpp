@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <unordered_set>
 
@@ -12,24 +11,6 @@
 namespace pt::tuner {
 
 namespace tel = common::telemetry;
-
-namespace {
-
-/// Deliver the per-member training curves of a fitted model in (member,
-/// epoch) order — concurrent training, deterministic callback sequence.
-void replay_epochs(const TunerRunContext& run,
-                   const AnnPerformanceModel& model) {
-  if (run.observer == nullptr) return;
-  const auto& curves = model.ensemble().train_results();
-  for (std::size_t member = 0; member < curves.size(); ++member) {
-    const ml::TrainResult& tr = curves[member];
-    for (std::size_t epoch = 0; epoch < tr.train_loss.size(); ++epoch)
-      run.observer->on_epoch(member, epoch, tr.train_loss[epoch],
-                             tr.monitored_loss[epoch]);
-  }
-}
-
-}  // namespace
 
 IterativeTuner::IterativeTuner(IterativeTunerOptions options)
     : options_(std::move(options)) {
@@ -46,43 +27,21 @@ IterativeTuner::IterativeTuner(IterativeTunerOptions options)
 
 IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator,
                                          const TuneRun& request) const {
+  if (request.sampler != nullptr)
+    throw std::invalid_argument(
+        "IterativeTuner::tune: TuneRun::sampler is not supported (the "
+        "iterative tuner draws its own exploration samples)");
   const TunerRunContext& run = request.effective_context(options_.run);
-  const bool explore_until_valid =
-      request.explore_until_valid.value_or(options_.explore_until_valid);
-  if (request.rng != nullptr)
-    return run_tune(evaluator, *request.rng, run, explore_until_valid);
-  common::Rng rng = run.make_rng();
-  return run_tune(evaluator, rng, run, explore_until_valid);
-}
+  common::Rng own_rng = run.make_rng();
+  common::Rng& rng = request.rng != nullptr ? *request.rng : own_rng;
 
-IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator) const {
-  return tune(evaluator, TuneRun{});
-}
-
-IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator,
-                                         common::Rng& rng) const {
-  TuneRun request;
-  request.rng = &rng;
-  return tune(evaluator, request);
-}
-
-IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
-                                             common::Rng& rng,
-                                             const TunerRunContext& run,
-                                             bool explore_until_valid) const {
   const ScopedRunContext scoped(run);
   StageScope whole(run, "iterative", "iterative.tune");
 
   const ParamSpace& space = evaluator.space();
   IterativeTuneResult result;
-
-  CachingEvaluator* cache = find_layer<CachingEvaluator>(&evaluator);
-  const std::size_t cache_hits_before = cache != nullptr ? cache->hits() : 0;
-  const std::size_t cache_misses_before =
-      cache != nullptr ? cache->misses() : 0;
-
-  // clstat pre-filter tallies (bumped by scan workers during exploit scans).
-  StaticPruneCounters static_counters;
+  RunLedger ledger("iterative", evaluator, run,
+                   options_.static_checker.get(), result);
 
   std::vector<TrainingSample> data;
   std::unordered_set<std::uint64_t> measured;
@@ -98,18 +57,12 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
     if (!measured.insert(index).second) return;
     if (result.measurements >= options_.measurement_budget) return;
     const Configuration config = space.decode(index);
-    const Measurement m = evaluator.measure(config);
+    const Measurement m = ledger.measure(measure_stage, config,
+                                         result.rejections,
+                                         /*training_sample=*/true);
     ++result.measurements;
-    result.data_gathering_cost_ms += m.cost_ms;
-    result.measure_attempts += m.attempts;
-    result.transient_faults += m.transient_faults;
-    if (run.observer != nullptr) {
-      run.observer->on_measurement(measure_stage, config, m);
-      run.observer->on_sample(measure_stage, config, m);
-    }
     if (!m.valid) {
       ++result.invalid_measurements;
-      result.rejections.note(m.status);
       return;
     }
     data.push_back({config, m.time_ms});
@@ -139,7 +92,7 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
   // train on. Instead of giving up, keep exploring at random — any valid
   // measurement un-blocks the model-guided loop below.
   measure_stage = "resample";
-  while (explore_until_valid && data.empty() &&
+  while (options_.explore_until_valid && data.empty() &&
          result.measurements < options_.measurement_budget &&
          measured.size() < space.size()) {
     StageScope stage(run, "iterative", "iterative.resample");
@@ -174,7 +127,7 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
       StageScope stage(run, "iterative", "iterative.model.fit");
       model.fit(space, data, rng);
     }
-    replay_epochs(run, model);
+    replay_epochs(run, model.ensemble());
 
     // Exploitation: best predictions not yet measured.
     const std::size_t batch =
@@ -190,17 +143,14 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
       // unmeasured configurations.
       StageScope stage(run, "iterative", "iterative.exploit");
       measure_stage = "exploit";
-      ScanFilter filter = [&measured](std::uint64_t index) {
-        return measured.count(index) == 0;
-      };
-      if (options_.static_checker != nullptr)
-        filter = make_static_scan_filter(space, *options_.static_checker,
-                                         static_counters, std::move(filter));
+      const ScanFilter filter = ledger.scan_filter(
+          space, [&measured](std::uint64_t index) {
+            return measured.count(index) == 0;
+          });
       const auto scan =
           model.predict_scan_top_m(0, space.size(), exploit, filter);
       for (const auto& candidate : scan.top) {
-        if (run.observer != nullptr)
-          run.observer->on_candidate(candidate.index, candidate.predicted_ms);
+        ledger.candidate(candidate);
         measure_index(candidate.index);
       }
     }
@@ -234,7 +184,7 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
     AnnPerformanceModel model(options_.model);
     model.fit(space, data, rng);
     stage.finish();
-    replay_epochs(run, model);
+    replay_epochs(run, model.ensemble());
     result.model = std::move(model);
   }
   result.success = have_best;
@@ -248,58 +198,6 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
                      "); no prediction");
   }
 
-  if (cache != nullptr) {
-    result.cache_hits = cache->hits() - cache_hits_before;
-    result.cache_misses = cache->misses() - cache_misses_before;
-    const std::size_t lookups = result.cache_hits + result.cache_misses;
-    common::log_info("iterative[", evaluator.name(), "]: cache ",
-                     result.cache_hits, " hits / ", result.cache_misses,
-                     " misses (hit rate ",
-                     lookups != 0 ? 100.0 * static_cast<double>(
-                                                result.cache_hits) /
-                                        static_cast<double>(lookups)
-                                  : 0.0,
-                     "%)");
-    if (tel::enabled() && lookups != 0)
-      tel::gauge("tuner.cache.hit_rate",
-                 static_cast<double>(result.cache_hits) /
-                     static_cast<double>(lookups));
-  }
-  if (options_.static_checker != nullptr) {
-    result.static_checked =
-        static_cast<std::size_t>(static_counters.checked.load());
-    result.static_pruned =
-        static_cast<std::size_t>(static_counters.pruned.load());
-    result.static_proved_valid =
-        static_cast<std::size_t>(static_counters.proved_valid.load());
-    result.static_unknown =
-        static_cast<std::size_t>(static_counters.unknown.load());
-    common::log_info(
-        "iterative[", evaluator.name(), "]: static filter pruned ",
-        result.static_pruned, " of ", result.static_checked,
-        " checked (pruned fraction ",
-        result.static_checked != 0
-            ? 100.0 * static_cast<double>(result.static_pruned) /
-                  static_cast<double>(result.static_checked)
-            : 0.0,
-        "%; verdicts: ", result.static_proved_valid, " proved valid, ",
-        result.static_pruned, " proved invalid, ", result.static_unknown,
-        " unknown)");
-    if (tel::enabled()) {
-      tel::count("tuner.scan.static_checked",
-                 static_cast<double>(result.static_checked));
-      tel::count("tuner.scan.static_pruned",
-                 static_cast<double>(result.static_pruned));
-      tel::count("tuner.scan.static_proved_valid",
-                 static_cast<double>(result.static_proved_valid));
-      tel::count("tuner.scan.static_unknown",
-                 static_cast<double>(result.static_unknown));
-      if (result.static_checked != 0)
-        tel::gauge("tuner.scan.static_pruned_fraction",
-                   static_cast<double>(result.static_pruned) /
-                       static_cast<double>(result.static_checked));
-    }
-  }
   if (tel::enabled()) {
     tel::count("tuner.iterative.measurements",
                static_cast<double>(result.measurements));
@@ -309,15 +207,8 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
                static_cast<double>(result.rounds));
     tel::count("tuner.iterative.resample_rounds",
                static_cast<double>(result.resample_rounds));
-    tel::count("tuner.measure.attempts",
-               static_cast<double>(result.measure_attempts));
-    tel::count("tuner.measure.transient_faults",
-               static_cast<double>(result.transient_faults));
-    tel::gauge("tuner.data_gathering_cost_ms", result.data_gathering_cost_ms);
-    for (const auto& [status, n] : result.rejections.sorted())
-      tel::count(std::string("tuner.rejections.") + clsim::to_string(status),
-                 static_cast<double>(n));
   }
+  ledger.finish({&result.rejections});
   return result;
 }
 

@@ -25,6 +25,7 @@
 
 #include "common/rng.hpp"
 #include "tuner/evaluator.hpp"
+#include "tuner/ledger.hpp"
 #include "tuner/model.hpp"
 #include "tuner/observer.hpp"
 #include "tuner/options.hpp"
@@ -47,7 +48,6 @@ struct IterativeTunerOptions : TunerOptions {
   /// random batches until one measures valid or the budget/space runs out,
   /// instead of giving up after round 0. Off by default so results are
   /// bit-identical to the pre-degradation tuner unless a caller opts in.
-  /// A TuneRun may override it per request.
   bool explore_until_valid = false;
   /// The inherited static_checker pre-filters the exploitation scan:
   /// proven-invalid configurations never enter a round's exploit batch, so
@@ -58,7 +58,10 @@ struct IterativeTunerOptions : TunerOptions {
   /// unfiltered, preserving the invalid-region labels it supplies.
 };
 
-struct IterativeTuneResult {
+/// The fields every tuner reports (measurement cost, attempts, transient
+/// faults, cache deltas, static pre-filter tallies over all exploit scans)
+/// live in RunTotals.
+struct IterativeTuneResult : RunTotals {
   bool success = false;
   Configuration best_config;
   double best_time_ms = 0.0;
@@ -69,27 +72,12 @@ struct IterativeTuneResult {
   /// Extra exploration-only rounds spent hunting for a first valid
   /// measurement (only with options.explore_until_valid).
   std::size_t resample_rounds = 0;
-  /// Raw evaluator attempts behind all measurements (see tuner/robust.hpp).
-  std::size_t measure_attempts = 0;
-  /// Transient failures absorbed by downstream retry decorators.
-  std::size_t transient_faults = 0;
   /// Why invalid measurements were rejected, by status.
   RejectionCounts rejections;
-  double data_gathering_cost_ms = 0.0;
   /// Incumbent best time at the end of each round (convergence trace).
   std::vector<double> incumbent_trace;
   /// Final model, trained on every valid measurement.
   std::optional<AnnPerformanceModel> model;
-  /// Cache hit/miss deltas over this run, when a CachingEvaluator is found
-  /// anywhere in the evaluator stack (see find_layer); 0/0 otherwise.
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  /// clstat pre-filter tallies over all exploit scans (all zero unless
-  /// options.static_checker was set; see AutoTuneResult for semantics).
-  std::size_t static_checked = 0;
-  std::size_t static_pruned = 0;
-  std::size_t static_proved_valid = 0;
-  std::size_t static_unknown = 0;
 };
 
 class IterativeTuner {
@@ -101,24 +89,13 @@ class IterativeTuner {
     return options_;
   }
 
-  /// Canonical entry point (see tuner/options.hpp). A default-constructed
-  /// TuneRun reproduces `tune(evaluator)` exactly; request.sampler is
-  /// ignored (this tuner draws its own exploration samples).
+  /// Run the rounds against the evaluator as the request describes (see
+  /// tuner/options.hpp). This tuner draws its own exploration samples, so a
+  /// request that sets TuneRun::sampler throws std::invalid_argument.
   [[nodiscard]] IterativeTuneResult tune(Evaluator& evaluator,
-                                         const TuneRun& request) const;
-
-  /// Shims (the pre-TuneRun API). The rng-taking form ignores run.seed but
-  /// honours the rest of the context.
-  [[nodiscard]] IterativeTuneResult tune(Evaluator& evaluator) const;
-  [[nodiscard]] IterativeTuneResult tune(Evaluator& evaluator,
-                                         common::Rng& rng) const;
+                                         const TuneRun& request = {}) const;
 
  private:
-  [[nodiscard]] IterativeTuneResult run_tune(Evaluator& evaluator,
-                                             common::Rng& rng,
-                                             const TunerRunContext& run,
-                                             bool explore_until_valid) const;
-
   IterativeTunerOptions options_;
 };
 

@@ -86,57 +86,18 @@ double AnnPerformanceModel::predict_ms(const Configuration& config) const {
   return to_time_ms(ensemble_.predict(encode_features(config)));
 }
 
-OutputTransform AnnPerformanceModel::output_transform() const noexcept {
-  return OutputTransform{target_scale_, target_mean_, options_.log_targets};
-}
-
-ScanRowFiller AnnPerformanceModel::row_filler() const {
-  return [this](std::uint64_t lo, std::uint64_t hi, ml::Matrix& x) {
-    range_encoder_.fill(lo, hi, x);
-  };
-}
-
-ScanRowFillerF32 AnnPerformanceModel::row_filler_f32() const {
-  return [this](std::uint64_t lo, std::uint64_t hi, std::vector<float>& rows) {
-    range_encoder_.fill_f32(lo, hi, rows);
-  };
-}
-
-// Builds the BatchedScan for a reduced-precision inference mode; both
-// engines are keyed by the encoder's input box (the fp32 certificate and the
-// int8 calibration hold over it). The shared pointers keep the packed engine
-// alive for the duration of the scan even
-// if the cache is concurrently reset.
-struct AnnPerformanceModel::ScanEngines {
-  std::shared_ptr<const ml::BatchedEnsemble> engine;
-  std::shared_ptr<const ml::QuantizedEnsemble> quant;
-  BatchedScan batched;
-};
-
-AnnPerformanceModel::ScanEngines AnnPerformanceModel::scan_engines() const {
-  ScanEngines e;
-  if (options_.scan.inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_, range_encoder_.calibration());
-    e.batched.engine = e.engine.get();
-  } else {
-    e.quant = batched_.get_quantized(ensemble_, range_encoder_.calibration());
-    e.batched.quant = e.quant.get();
-  }
-  e.batched.fill = row_filler_f32();
-  return e;
+EncodedScan AnnPerformanceModel::encoded_scan() const {
+  return EncodedScan{ensemble_, batched_, range_encoder_,
+                     OutputTransform{target_scale_, target_mean_,
+                                     options_.log_targets},
+                     options_.scan};
 }
 
 std::vector<double> AnnPerformanceModel::predict_range_ms(
     std::uint64_t begin, std::uint64_t end) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines();
-    return scan_predict_range(ensemble_, row_filler(), begin, end,
-                              output_transform(), options_.scan, &e.batched);
-  }
-  return scan_predict_range(ensemble_, row_filler(), begin, end,
-                            output_transform());
+  return encoded_scan().predict_range(begin, end);
 }
 
 TopMScanResult AnnPerformanceModel::predict_scan_top_m(
@@ -144,13 +105,7 @@ TopMScanResult AnnPerformanceModel::predict_scan_top_m(
     const ScanFilter& filter) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines();
-    return scan_top_m(ensemble_, row_filler(), begin, end, m,
-                      output_transform(), filter, options_.scan, &e.batched);
-  }
-  return scan_top_m(ensemble_, row_filler(), begin, end, m,
-                    output_transform(), filter);
+  return encoded_scan().top_m(begin, end, m, filter);
 }
 
 std::vector<double> AnnPerformanceModel::predict_many_ms(

@@ -108,14 +108,9 @@ class AnnPerformanceModel {
 
  private:
   [[nodiscard]] double to_time_ms(double network_output) const noexcept;
-  /// Scan-engine adapters: the transform equivalent to to_time_ms and
-  /// fillers that encode a flat-index range into feature rows (via the
-  /// precomputed RangeEncoder — no per-row decode allocation).
-  [[nodiscard]] OutputTransform output_transform() const noexcept;
-  [[nodiscard]] ScanRowFiller row_filler() const;
-  [[nodiscard]] ScanRowFillerF32 row_filler_f32() const;
-  struct ScanEngines;
-  [[nodiscard]] ScanEngines scan_engines() const;
+  /// The bulk-prediction scan over the fitted space, with the transform
+  /// equivalent to to_time_ms.
+  [[nodiscard]] EncodedScan encoded_scan() const;
 
   Options options_;
   ParamSpace space_;

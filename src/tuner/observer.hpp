@@ -5,12 +5,13 @@
 //
 // Every tuner entry point (AutoTuner::tune, IterativeTuner::tune,
 // InputAwarePerformanceModel::fit) takes its per-run wiring from one shared
-// TunerRunContext embedded in its options struct: the observer receiving
-// callbacks, the telemetry collector to install for the run, the RNG seed,
-// the worker-thread count, and the clcheck mode. Callers that only want a
+// TunerRunContext — the one embedded in its options struct, or the one a
+// TuneRun carries (tuner/options.hpp): the observer receiving callbacks,
+// the telemetry collector to install for the run, the RNG seed, the
+// worker-thread count, and the clcheck mode. Callers that only want a
 // result leave the context at its defaults — a default context is inert
 // (null observer, no telemetry, ambient thread pool) and results are
-// bit-identical to the pre-context API at any thread count (verified by
+// bit-identical to a context-free run at any thread count (verified by
 // tests/tuner/test_observer.cpp).
 //
 // Observer callbacks are delivered on the calling thread, in a
@@ -37,11 +38,17 @@ class TunerObserver {
   virtual ~TunerObserver() = default;
 
   /// A named tuner stage begins/ends. `tuner` identifies the caller
-  /// ("autotuner", "iterative", "input_aware"); `stage` is the span name
-  /// from the taxonomy in DESIGN.md §7 ("stage1.measure", "model.fit",
-  /// "stage2.scan", "stage2.measure", "round", ...). Properly nested per
-  /// run: every begin is closed by a matching end before the outer stage
-  /// ends.
+  /// ("autotuner", "iterative", "input_aware"); `stage` is the span name,
+  /// prefixed with the tuner (taxonomy in DESIGN.md §7):
+  ///   autotuner.tune > autotuner.{stage1.measure, model.fit, validity.fit,
+  ///                               stage2.scan, stage2.measure,
+  ///                               stage2.stream}
+  ///   iterative.tune > iterative.{round0, resample, model.fit (final)},
+  ///                    iterative.round > iterative.{model.fit, exploit,
+  ///                                                 explore}
+  ///   input_aware.fit
+  /// Properly nested per run: every begin is closed by a matching end
+  /// before the outer stage ends.
   virtual void on_stage_begin(std::string_view /*tuner*/,
                               std::string_view /*stage*/) {}
   virtual void on_stage_end(std::string_view /*tuner*/,
@@ -83,8 +90,8 @@ struct TunerRunContext {
   /// including "none" — untouched, so a context never *disables* telemetry
   /// an outer scope enabled.
   common::telemetry::Collector* telemetry = nullptr;
-  /// Seed for the run's RNG when using the context-driven tune()/fit()
-  /// overloads. The rng-taking overloads ignore it.
+  /// Seed for the run's RNG. Ignored when the TuneRun carries its own
+  /// generator (TuneRun::rng).
   std::uint64_t seed = 1;
   /// Worker threads for the run (0 = leave the global pool as is).
   std::size_t threads = 0;

@@ -1,26 +1,26 @@
 #pragma once
 
-// TunerOptions + TuneRun — the shared configuration base and the canonical
-// per-run request struct of the tuning stack.
+// TunerOptions + TuneRun — the shared configuration base and the per-run
+// request struct of the tuning stack.
 //
 // TunerOptions collects the fields every tuner used to duplicate (the
 // performance-model configuration, the opt-in clstat static pre-filter and
 // the per-run wiring context); AutoTunerOptions and IterativeTunerOptions
-// inherit it, so existing field names (`options.model`, `options.run`,
-// `options.static_checker`) keep working unchanged and a service can
-// configure both tuners through one type.
+// inherit it, so a service can configure both tuners through one type.
 //
-// TuneRun is the canonical request: one struct carrying everything that may
-// vary per tune() call — the run context (seed, observer, telemetry,
-// threads, check mode), an optional external RNG, an optional sampler, and
-// per-request degradation overrides. Every tuner exposes exactly one
-// canonical entry point taking it (`tune(Evaluator&, const TuneRun&)`,
-// `fit(..., const TuneRun&)`); the historic overload matrix
-// (`tune(eval)` / `tune(eval, rng)` / `tune(eval, sampler, rng)`) survives
-// as thin delegating shims, bit-identical to the canonical calls they
-// forward to. The serve layer (src/serve) only ever issues TuneRuns.
+// TuneRun is the request: everything that may vary per call — the run
+// context (seed, observer, telemetry, threads, check mode), an optional
+// external RNG and an optional stage-1 sampler. Each job has exactly one
+// entry point taking it, defaulted to an empty request:
+// AutoTuner::tune(Evaluator&, const TuneRun& = {}),
+// IterativeTuner::tune(Evaluator&, const TuneRun& = {}) and
+// InputAwarePerformanceModel::fit(..., const TuneRun& = {}). A receiver
+// that has no use for a field a request sets (a sampler outside AutoTuner)
+// throws std::invalid_argument naming it. Degradation knobs are options,
+// not request fields. The serve layer (src/serve) only ever issues
+// TuneRuns.
 
-#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -50,24 +50,19 @@ struct TunerOptions {
   TunerRunContext run{};
 };
 
-/// One tune request. Default-constructed it reproduces `tune(evaluator)`
-/// exactly: context and knobs fall back to the tuner's options.
+/// One tune request. Default-constructed it takes everything from the
+/// receiver's options.
 struct TuneRun {
   /// Per-run wiring override; when absent the tuner's options().run
   /// applies (including its seed).
   std::optional<TunerRunContext> context;
   /// External generator for callers that thread one RNG through several
-  /// runs (the pre-context API). When set, the context/options seed is
-  /// ignored; the rest of the effective context still applies.
+  /// runs. When set, the context/options seed is ignored; the rest of the
+  /// effective context still applies.
   common::Rng* rng = nullptr;
-  /// Stage-1 sampler override (AutoTuner only; others ignore it).
-  /// nullptr = the paper's uniform RandomSampler.
+  /// Stage-1 sampler override, AutoTuner only (other receivers reject a
+  /// request that sets it). nullptr = the paper's uniform RandomSampler.
   const Sampler* sampler = nullptr;
-  /// Per-request graceful-degradation overrides (nullopt = the value in the
-  /// tuner's options). stage2_stream_limit applies to AutoTuner,
-  /// explore_until_valid to IterativeTuner.
-  std::optional<std::size_t> stage2_stream_limit;
-  std::optional<bool> explore_until_valid;
 
   /// The effective run context given a tuner's options.
   [[nodiscard]] const TunerRunContext& effective_context(
@@ -85,7 +80,8 @@ struct TuneRun {
   }
 
   /// Convenience: a request threading an external generator (the harness
-  /// idiom: one RNG across several runs).
+  /// idiom: one RNG across several runs). Set `.sampler` on the result to
+  /// also override AutoTuner's stage-1 sampler.
   [[nodiscard]] static TuneRun with_rng(common::Rng& rng) {
     TuneRun request;
     request.rng = &rng;

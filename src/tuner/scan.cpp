@@ -210,13 +210,6 @@ ScanPlan plan_scan(const ScanOptions& options, const BatchedScan* batched) {
           certificate + batched->extra_fp32_error, false};
 }
 
-/// fp64-pinned options for the no-options overloads.
-ScanOptions fp64_options() {
-  ScanOptions options;
-  options.inference = ScanInference::kScalarFp64;
-  return options;
-}
-
 void gauge_configs_per_sec(std::uint64_t n,
                            std::chrono::steady_clock::time_point start) {
   if (!common::telemetry::enabled()) return;
@@ -288,6 +281,44 @@ std::vector<RawCandidate> fp32_survivors(
   return all;
 }
 
+/// The fillers and engines of one EncodedScan. The shared pointers keep a
+/// packed engine alive for the duration of the scan even if the cache is
+/// concurrently reset.
+struct EncodedEngines {
+  ScanRowFiller fill;
+  std::shared_ptr<const ml::BatchedEnsemble> fp32;
+  std::shared_ptr<const ml::QuantizedEnsemble> int8;
+  BatchedScan batched;
+
+  /// The reduced-precision engines, nullptr on the fp64 reference path.
+  [[nodiscard]] const BatchedScan* reduced() const noexcept {
+    return batched.fill ? &batched : nullptr;
+  }
+};
+
+EncodedEngines encoded_engines(const EncodedScan& scan) {
+  EncodedEngines e;
+  e.fill = [&scan](std::uint64_t lo, std::uint64_t hi, ml::Matrix& x) {
+    scan.encoder.fill(lo, hi, x, scan.tail);
+  };
+  if (scan.options.inference == ScanInference::kScalarFp64) return e;
+  std::vector<float> tail_f(scan.tail.begin(), scan.tail.end());
+  const ml::QuantCalibration box = scan.encoder.calibration(tail_f);
+  if (scan.options.inference == ScanInference::kBatchedFp32) {
+    e.fp32 = scan.engines.get(scan.ensemble, box);
+    e.batched.engine = e.fp32.get();
+  } else {
+    e.int8 = scan.engines.get_quantized(scan.ensemble, box);
+    e.batched.quant = e.int8.get();
+  }
+  e.batched.fill = [&encoder = scan.encoder, tail_f = std::move(tail_f)](
+                       std::uint64_t lo, std::uint64_t hi,
+                       std::vector<float>& rows) {
+    encoder.fill_f32(lo, hi, rows, tail_f);
+  };
+  return e;
+}
+
 /// Re-rank survivors by their exact fp64 outputs and emit the final top-m.
 std::vector<ScanCandidate> finish_fp64(
     std::vector<RawCandidate>& survivors,
@@ -304,14 +335,6 @@ std::vector<ScanCandidate> finish_fp64(
 }
 
 }  // namespace
-
-std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
-                                       const ScanRowFiller& fill,
-                                       std::uint64_t begin, std::uint64_t end,
-                                       const OutputTransform& transform) {
-  return scan_predict_range(ensemble, fill, begin, end, transform,
-                            fp64_options(), nullptr);
-}
 
 std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
                                        const ScanRowFiller& fill,
@@ -359,15 +382,6 @@ std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
       });
   gauge_configs_per_sec(n, start);
   return out;
-}
-
-TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
-                          const ScanRowFiller& fill, std::uint64_t begin,
-                          std::uint64_t end, std::size_t m,
-                          const OutputTransform& transform,
-                          const ScanFilter& filter) {
-  return scan_top_m(ensemble, fill, begin, end, m, transform, filter,
-                    fp64_options(), nullptr);
 }
 
 TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
@@ -536,6 +550,21 @@ ScanFilter make_static_scan_filter(const ParamSpace& space,
     }
     return !next || next(index);
   };
+}
+
+std::vector<double> EncodedScan::predict_range(std::uint64_t begin,
+                                               std::uint64_t end) const {
+  const EncodedEngines e = encoded_engines(*this);
+  return scan_predict_range(ensemble, e.fill, begin, end, transform, options,
+                            e.reduced());
+}
+
+TopMScanResult EncodedScan::top_m(std::uint64_t begin, std::uint64_t end,
+                                  std::size_t m,
+                                  const ScanFilter& filter) const {
+  const EncodedEngines e = encoded_engines(*this);
+  return scan_top_m(ensemble, e.fill, begin, end, m, transform, filter,
+                    options, e.reduced());
 }
 
 }  // namespace pt::tuner

@@ -62,6 +62,7 @@
 #include "clsim/analyze/checker.hpp"
 #include "ml/batched.hpp"
 #include "ml/ensemble.hpp"
+#include "tuner/features.hpp"
 #include "tuner/param.hpp"
 
 namespace pt::tuner {
@@ -213,12 +214,9 @@ struct BatchedScan {
   double extra_fp32_error = 0.0;
 };
 
-/// Predicted (transformed) value for every index in [begin, end), in order.
-[[nodiscard]] std::vector<double> scan_predict_range(
-    const ml::BaggingEnsemble& ensemble, const ScanRowFiller& fill,
-    std::uint64_t begin, std::uint64_t end, const OutputTransform& transform);
-
-/// As above, honouring options.inference. The non-fp64 paths compute each
+/// Predicted (transformed) value for every index in [begin, end), in order,
+/// on the engine options.inference selects: kScalarFp64 is the reference
+/// (`batched` may then be nullptr). The non-fp64 paths compute each
 /// prediction at their reduced precision (values may differ from the
 /// reference by up to the transform-scaled per-mode error bound; an fp32
 /// engine whose certificate exceeds kMaxFp32ErrorBound falls back to fp64);
@@ -230,27 +228,44 @@ struct BatchedScan {
     const ScanOptions& options, const BatchedScan* batched);
 
 /// Best m candidates over [begin, end) by predicted value (ascending),
-/// without materializing the full prediction vector. Requires
-/// transform.scale > 0. `m` may exceed the range size; the result is then
-/// just every (valid) index, ranked.
-[[nodiscard]] TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
-                                        const ScanRowFiller& fill,
-                                        std::uint64_t begin, std::uint64_t end,
-                                        std::size_t m,
-                                        const OutputTransform& transform,
-                                        const ScanFilter& filter = {});
-
-/// As above, honouring options.inference. On the reduced-precision paths
-/// the returned selection (indices *and* predicted values) is identical to
-/// the fp64 reference whenever the coarse-pass error stays within the
-/// bound in force — always on the certified fp32 path, and for int8
-/// whenever quant_error_bound holds; throws std::invalid_argument if a
-/// reduced-precision inference is requested without the matching
-/// BatchedScan engine.
+/// without materializing the full prediction vector, on the engine
+/// options.inference selects (kScalarFp64, the reference, needs no
+/// `batched`). Requires transform.scale > 0. `m` may exceed the range size;
+/// the result is then just every (valid) index, ranked. On the
+/// reduced-precision paths the returned selection (indices *and* predicted
+/// values) is identical to the fp64 reference whenever the coarse-pass
+/// error stays within the bound in force — always on the certified fp32
+/// path, and for int8 whenever quant_error_bound holds; throws
+/// std::invalid_argument if a reduced-precision inference is requested
+/// without the matching BatchedScan engine.
 [[nodiscard]] TopMScanResult scan_top_m(
     const ml::BaggingEnsemble& ensemble, const ScanRowFiller& fill,
     std::uint64_t begin, std::uint64_t end, std::size_t m,
     const OutputTransform& transform, const ScanFilter& filter,
     const ScanOptions& options, const BatchedScan* batched);
+
+/// A fitted model's scan over a range-encoded space — the one adapter both
+/// performance models (AnnPerformanceModel, InputAwarePerformanceModel)
+/// drive their bulk predictions through. It builds the fp64 and fp32 row
+/// fillers over `encoder` (every row ending with `tail`: the instance
+/// features of an input-aware model, empty otherwise) and, unless
+/// options.inference is kScalarFp64, fetches the packed engine from
+/// `engines` keyed by the encoder's input box for that tail.
+struct EncodedScan {
+  const ml::BaggingEnsemble& ensemble;
+  const ml::BatchedEnsembleCache& engines;
+  const RangeEncoder& encoder;
+  OutputTransform transform;
+  const ScanOptions& options;
+  std::vector<double> tail{};
+
+  /// scan_predict_range over [begin, end).
+  [[nodiscard]] std::vector<double> predict_range(std::uint64_t begin,
+                                                  std::uint64_t end) const;
+  /// scan_top_m over [begin, end).
+  [[nodiscard]] TopMScanResult top_m(std::uint64_t begin, std::uint64_t end,
+                                     std::size_t m,
+                                     const ScanFilter& filter) const;
+};
 
 }  // namespace pt::tuner

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "common/thread_pool.hpp"
 #include "tuner/autotuner.hpp"
 #include "tuner/input_aware.hpp"
@@ -8,9 +12,10 @@
 
 #include "../tuner/test_helpers.hpp"
 
-// Overload-parity suite for the canonical TuneRun entry points (satellite
-// of the serve PR): every legacy overload must be bit-identical to the
-// TuneRun it is documented to construct, at 1 and at 4 worker threads.
+// The TuneRun request contract of the single tune/fit entry points: a seed
+// in the request equals the same seed in the options at 1 and at 4 worker
+// threads, a seeded tune is identical across thread counts, and a receiver
+// rejects a request field it has no use for by name.
 
 namespace pt::tuner {
 namespace {
@@ -49,15 +54,6 @@ void expect_same(const AutoTuneResult& a, const AutoTuneResult& b) {
   EXPECT_DOUBLE_EQ(a.data_gathering_cost_ms, b.data_gathering_cost_ms);
 }
 
-void expect_same(const IterativeTuneResult& a, const IterativeTuneResult& b) {
-  ASSERT_EQ(a.success, b.success);
-  EXPECT_EQ(a.best_config.values, b.best_config.values);
-  EXPECT_DOUBLE_EQ(a.best_time_ms, b.best_time_ms);
-  EXPECT_EQ(a.measurements, b.measurements);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.incumbent_trace, b.incumbent_trace);
-}
-
 /// The thread counts the parity contract is tested at.
 const std::size_t kThreadCounts[] = {1, 4};
 
@@ -66,27 +62,6 @@ class TuneRunParity : public ::testing::TestWithParam<std::size_t> {
   void SetUp() override { common::set_global_pool_threads(GetParam()); }
   void TearDown() override { common::set_global_pool_threads(0); }
 };
-
-TEST_P(TuneRunParity, AutoTunerDefaultRequestMatchesPlainTune) {
-  const AutoTuner tuner(fast_auto_options());
-  BowlEvaluator eval_a;
-  const AutoTuneResult plain = tuner.tune(eval_a);
-  BowlEvaluator eval_b;
-  const AutoTuneResult canonical = tuner.tune(eval_b, TuneRun{});
-  expect_same(plain, canonical);
-}
-
-TEST_P(TuneRunParity, AutoTunerWithRngMatchesRngOverload) {
-  const AutoTuner tuner(fast_auto_options());
-  BowlEvaluator eval_a;
-  common::Rng rng_a(5);
-  const AutoTuneResult shim = tuner.tune(eval_a, rng_a);
-  BowlEvaluator eval_b;
-  common::Rng rng_b(5);
-  const AutoTuneResult canonical =
-      tuner.tune(eval_b, TuneRun::with_rng(rng_b));
-  expect_same(shim, canonical);
-}
 
 TEST_P(TuneRunParity, AutoTunerWithSeedMatchesOptionsSeed) {
   AutoTunerOptions seeded = fast_auto_options();
@@ -97,83 +72,6 @@ TEST_P(TuneRunParity, AutoTunerWithSeedMatchesOptionsSeed) {
   const AutoTuneResult via_request =
       AutoTuner(fast_auto_options()).tune(eval_b, TuneRun::with_seed(42));
   expect_same(via_options, via_request);
-}
-
-TEST_P(TuneRunParity, AutoTunerSamplerOverloadMatchesRequestSampler) {
-  const AutoTuner tuner(fast_auto_options());
-  const RandomSampler sampler;
-  BowlEvaluator eval_a;
-  common::Rng rng_a(9);
-  const AutoTuneResult shim = tuner.tune(eval_a, sampler, rng_a);
-  BowlEvaluator eval_b;
-  common::Rng rng_b(9);
-  TuneRun request = TuneRun::with_rng(rng_b);
-  request.sampler = &sampler;
-  const AutoTuneResult canonical = tuner.tune(eval_b, request);
-  expect_same(shim, canonical);
-}
-
-TEST_P(TuneRunParity, AutoTunerStreamLimitOverrideMatchesOptionsKnob) {
-  AutoTunerOptions streaming = fast_auto_options();
-  streaming.stage2_stream_limit = 256;
-  testing::TrapEvaluator eval_a;
-  const AutoTuneResult via_options =
-      AutoTuner(streaming).tune(eval_a, TuneRun::with_seed(3));
-  testing::TrapEvaluator eval_b;
-  TuneRun request = TuneRun::with_seed(3);
-  request.stage2_stream_limit = 256;
-  const AutoTuneResult via_request =
-      AutoTuner(fast_auto_options()).tune(eval_b, request);
-  expect_same(via_options, via_request);
-}
-
-TEST_P(TuneRunParity, IterativeTunerOverloadsMatchCanonical) {
-  const IterativeTuner tuner(fast_iter_options());
-  BowlEvaluator eval_a;
-  const IterativeTuneResult plain = tuner.tune(eval_a);
-  BowlEvaluator eval_b;
-  const IterativeTuneResult canonical = tuner.tune(eval_b, TuneRun{});
-  expect_same(plain, canonical);
-
-  BowlEvaluator eval_c;
-  common::Rng rng_c(7);
-  const IterativeTuneResult shim = tuner.tune(eval_c, rng_c);
-  BowlEvaluator eval_d;
-  common::Rng rng_d(7);
-  const IterativeTuneResult via_request =
-      tuner.tune(eval_d, TuneRun::with_rng(rng_d));
-  expect_same(shim, via_request);
-}
-
-TEST_P(TuneRunParity, InputAwareFitOverloadsMatchCanonical) {
-  const ParamSpace space = testing::small_space();
-  std::vector<InputAwareSample> samples;
-  common::Rng gen(11);
-  for (int i = 0; i < 40; ++i) {
-    const Configuration config =
-        space.decode(gen.below(space.size()));
-    const double size = static_cast<double>(1 << (1 + (i % 4)));
-    const double t = 1.0 + 0.01 * static_cast<double>(config.values[0]) +
-                     0.5 * size;
-    samples.push_back({config, ProblemInstance{{size}}, t});
-  }
-  InputAwarePerformanceModel::Options options;
-  options.ensemble.k = 3;
-  options.ensemble.hidden_layers = {
-      ml::LayerSpec{12, ml::Activation::kSigmoid}};
-  options.ensemble.trainer.common.max_epochs = 200;
-
-  InputAwarePerformanceModel shim_model(options);
-  common::Rng rng_a(13);
-  shim_model.fit(space, {"size"}, samples, rng_a);
-  InputAwarePerformanceModel canonical_model(options);
-  common::Rng rng_b(13);
-  canonical_model.fit(space, {"size"}, samples, TuneRun::with_rng(rng_b));
-
-  const Configuration probe = BowlEvaluator::optimum();
-  const ProblemInstance instance{{4.0}};
-  EXPECT_DOUBLE_EQ(shim_model.predict_ms(probe, instance),
-                   canonical_model.predict_ms(probe, instance));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, TuneRunParity,
@@ -201,6 +99,43 @@ TEST(TuneRunParityCross, SeededTuneIdenticalAcrossThreadCounts) {
     }
   }
   common::set_global_pool_threads(0);
+}
+
+/// A request field the receiver would silently drop is a malformed request:
+/// only AutoTuner samples stage 1, so only it accepts TuneRun::sampler.
+TEST(TuneRunRejects, SamplerOutsideAutoTuner) {
+  const RandomSampler sampler;
+  TuneRun request = TuneRun::with_seed(4);
+  request.sampler = &sampler;
+
+  BowlEvaluator eval;
+  try {
+    (void)IterativeTuner(fast_iter_options()).tune(eval, request);
+    ADD_FAILURE() << "IterativeTuner accepted a sampler";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("TuneRun::sampler"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(eval.calls(), 0u);  // rejected before measuring anything
+
+  const ParamSpace space = testing::small_space();
+  const std::vector<InputAwareSample> samples = {
+      {space.decode(0), ProblemInstance{{2.0}}, 1.0}};
+  InputAwarePerformanceModel model;
+  try {
+    model.fit(space, {"size"}, samples, request);
+    ADD_FAILURE() << "InputAwarePerformanceModel accepted a sampler";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("TuneRun::sampler"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(model.fitted());
+
+  // AutoTuner does sample stage 1 and takes it.
+  BowlEvaluator auto_eval;
+  EXPECT_TRUE(AutoTuner(fast_auto_options()).tune(auto_eval, request).success);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(AutoTuner, FindsNearOptimalOnSmoothLandscape) {
   BowlEvaluator eval;
   common::Rng rng(1);
   const AutoTuner tuner(fast_options(120, 20));
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   // On a 256-point smooth bowl, stage 2 should capture the optimum.
   EXPECT_LE(result.best_time_ms, BowlEvaluator::optimum_time() * 1.10);
@@ -41,7 +41,7 @@ TEST(AutoTuner, BookkeepingConsistent) {
   BowlEvaluator eval;
   common::Rng rng(2);
   const AutoTuner tuner(fast_options(80, 15));
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.stage1_measured, 80u);
   EXPECT_EQ(result.stage1_valid, 80u);  // no invalids in this evaluator
@@ -57,7 +57,7 @@ TEST(AutoTuner, SkipsInvalidTrainingConfigs) {
   BowlEvaluator eval(/*with_invalid=*/true);
   common::Rng rng(3);
   const AutoTuner tuner(fast_options(150, 20));
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   // 1/8 of the space (A=128) is invalid; training data excludes it.
   EXPECT_LT(result.stage1_valid, result.stage1_measured);
@@ -69,7 +69,7 @@ TEST(AutoTuner, SecondStageInvalidsAreCountedNotFatal) {
   BowlEvaluator eval(/*with_invalid=*/true);
   common::Rng rng(4);
   const AutoTuner tuner(fast_options(120, 30));
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.stage2_measured, 30u);
   // The winner is necessarily valid.
@@ -98,7 +98,7 @@ TEST(AutoTuner, NoValidDataGivesNoPrediction) {
   AllInvalidEvaluator eval;
   common::Rng rng(5);
   const AutoTuner tuner(fast_options(50, 10));
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.stage1_valid, 0u);
   EXPECT_FALSE(result.model.has_value());
@@ -112,7 +112,7 @@ TEST(AutoTuner, AllInvalidSecondStageReportsFailureButKeepsModel) {
   common::Rng rng(6);
   AutoTunerOptions opts = fast_options(100, 5);
   const AutoTuner tuner(opts);
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   // The model extrapolates "bigger A is faster" into the invalid region,
   // so all 5 stage-2 candidates are invalid -> no prediction.
   if (!result.success) {
@@ -133,7 +133,7 @@ TEST(AutoTuner, PredictionScanLimitRestrictsStage2) {
   AutoTunerOptions opts = fast_options(100, 10);
   opts.prediction_scan_limit = 32;  // only the first 32 flat indices
   const AutoTuner tuner(opts);
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_EQ(tuner.options().prediction_scan_limit, 32u);
   EXPECT_LT(eval.space().encode(result.best_config), 32u);
@@ -144,7 +144,9 @@ TEST(AutoTuner, CustomSamplerIsUsed) {
   common::Rng rng(8);
   const LatinHypercubeSampler lhs;
   const AutoTuner tuner(fast_options(100, 20));
-  const AutoTuneResult result = tuner.tune(eval, lhs, rng);
+  TuneRun request = TuneRun::with_rng(rng);
+  request.sampler = &lhs;
+  const AutoTuneResult result = tuner.tune(eval, request);
   EXPECT_TRUE(result.success);
 }
 
@@ -154,8 +156,8 @@ TEST(AutoTuner, DeterministicGivenSeed) {
   BowlEvaluator e2;
   common::Rng rng1(99);
   common::Rng rng2(99);
-  const auto r1 = tuner.tune(e1, rng1);
-  const auto r2 = tuner.tune(e2, rng2);
+  const auto r1 = tuner.tune(e1, TuneRun::with_rng(rng1));
+  const auto r2 = tuner.tune(e2, TuneRun::with_rng(rng2));
   ASSERT_EQ(r1.success, r2.success);
   EXPECT_EQ(r1.best_config, r2.best_config);
   EXPECT_DOUBLE_EQ(r1.best_time_ms, r2.best_time_ms);

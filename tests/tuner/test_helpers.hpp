@@ -4,7 +4,9 @@
 // that should not depend on the benchmark suite or the timing model.
 
 #include <cmath>
+#include <memory>
 
+#include "clsim/analyze/checker.hpp"
 #include "tuner/evaluator.hpp"
 
 namespace pt::tuner::testing {
@@ -90,5 +92,26 @@ class TrapEvaluator final : public Evaluator {
  private:
   ParamSpace space_;
 };
+
+/// Analyzer view of small_space with the BowlEvaluator(with_invalid) rule
+/// encoded: A=128 is rejected, everything else is valid.
+inline std::shared_ptr<const clsim::analyze::StaticChecker> bowl_checker() {
+  namespace az = clsim::analyze;
+  az::KernelConstraints kc;
+  kc.kernel_name = "bowl";
+  kc.domain = az::ParamDomain({
+      {"A", {1, 2, 4, 8, 16, 32, 64, 128}},
+      {"B", {1, 2, 4, 8, 16, 32, 64, 128}},
+      {"C", {0, 1, 2, 3}},
+  });
+  kc.complete = true;
+  kc.constraints.push_back({"a_group_limit",
+                            az::ConstraintCategory::kWorkGroupGeometry,
+                            az::param_expr(kc.domain, "A"),
+                            az::Relation::kLess, az::cexpr(128.0),
+                            az::AffineExpr{}});
+  return std::make_shared<az::StaticChecker>(std::move(kc),
+                                             clsim::DeviceInfo{});
+}
 
 }  // namespace pt::tuner::testing

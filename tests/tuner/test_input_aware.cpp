@@ -48,11 +48,11 @@ std::vector<InputAwareSample> family_samples(
 TEST(InputAwareModel, FitRejectsBadInput) {
   InputAwarePerformanceModel model(fast_options());
   common::Rng rng(1);
-  EXPECT_THROW(model.fit(small_space(), {"size"}, {}, rng),
+  EXPECT_THROW(model.fit(small_space(), {"size"}, {}, TuneRun::with_rng(rng)),
                std::invalid_argument);
   std::vector<InputAwareSample> bad = {
       {Configuration{{1, 1, 0}}, ProblemInstance{{256.0}}, -2.0}};
-  EXPECT_THROW(model.fit(small_space(), {"size"}, bad, rng),
+  EXPECT_THROW(model.fit(small_space(), {"size"}, bad, TuneRun::with_rng(rng)),
                std::invalid_argument);
 }
 
@@ -68,7 +68,8 @@ TEST(InputAwareModel, InstanceWidthChecked) {
   common::Rng rng(2);
   const ParamSpace space = small_space();
   model.fit(space, {"size"},
-            family_samples(space, {128.0, 256.0}, 150, rng), rng);
+            family_samples(space, {128.0, 256.0}, 150, rng),
+            TuneRun::with_rng(rng));
   EXPECT_THROW((void)model.predict_ms(space.decode(0),
                                       ProblemInstance{{1.0, 2.0}}),
                std::invalid_argument);
@@ -79,7 +80,8 @@ TEST(InputAwareModel, LearnsTheSeenSizes) {
   const ParamSpace space = small_space();
   const std::vector<double> sizes = {128.0, 256.0, 512.0, 1024.0};
   InputAwarePerformanceModel model(fast_options());
-  model.fit(space, {"size"}, family_samples(space, sizes, 600, rng), rng);
+  model.fit(space, {"size"}, family_samples(space, sizes, 600, rng),
+            TuneRun::with_rng(rng));
 
   std::vector<double> actual;
   std::vector<double> predicted;
@@ -99,7 +101,8 @@ TEST(InputAwareModel, InterpolatesToUnseenSize) {
   const ParamSpace space = small_space();
   InputAwarePerformanceModel model(fast_options());
   model.fit(space, {"size"},
-            family_samples(space, {128.0, 256.0, 1024.0}, 900, rng), rng);
+            family_samples(space, {128.0, 256.0, 1024.0}, 900, rng),
+            TuneRun::with_rng(rng));
 
   std::vector<double> actual;
   std::vector<double> predicted;
@@ -116,7 +119,8 @@ TEST(InputAwareModel, PredictManyMatchesSingle) {
   const ParamSpace space = small_space();
   InputAwarePerformanceModel model(fast_options());
   model.fit(space, {"size"},
-            family_samples(space, {128.0, 256.0}, 200, rng), rng);
+            family_samples(space, {128.0, 256.0}, 200, rng),
+            TuneRun::with_rng(rng));
   const std::vector<Configuration> configs = {space.decode(3),
                                               space.decode(77)};
   const ProblemInstance inst{{256.0}};
@@ -131,7 +135,7 @@ TEST(InputAwareModel, EncodingLayout) {
   const ParamSpace space = small_space();
   InputAwarePerformanceModel model(fast_options());
   model.fit(space, {"size"},
-            family_samples(space, {128.0}, 60, rng), rng);
+            family_samples(space, {128.0}, 60, rng), TuneRun::with_rng(rng));
   const auto features =
       model.encode(Configuration{{8, 128, 3}}, ProblemInstance{{1024.0}});
   ASSERT_EQ(features.size(), 4u);  // 3 config dims + 1 problem param
@@ -148,7 +152,8 @@ TEST(InputAwareModel, PredictRangeMatchesSingle) {
   opts.scan.inference = ScanInference::kScalarFp64;  // the fp64 path itself
   InputAwarePerformanceModel model(opts);
   model.fit(space, {"size"},
-            family_samples(space, {128.0, 256.0}, 200, rng), rng);
+            family_samples(space, {128.0, 256.0}, 200, rng),
+            TuneRun::with_rng(rng));
   const ProblemInstance inst{{256.0}};
   const auto range = model.predict_range_ms(10, 40, inst);
   ASSERT_EQ(range.size(), 30u);
@@ -164,7 +169,8 @@ TEST(InputAwareModel, ScanTopMMatchesFullRanking) {
   opts.scan.inference = ScanInference::kScalarFp64;  // the fp64 path itself
   InputAwarePerformanceModel model(opts);
   model.fit(space, {"size"},
-            family_samples(space, {128.0, 256.0, 512.0}, 300, rng), rng);
+            family_samples(space, {128.0, 256.0, 512.0}, 300, rng),
+            TuneRun::with_rng(rng));
   const ProblemInstance inst{{512.0}};
   const auto preds = model.predict_range_ms(0, space.size(), inst);
   std::vector<std::uint64_t> order(preds.size());
@@ -189,7 +195,7 @@ TEST(InputAwareModel, NonPositiveProblemParamRejectedWithLog2) {
   InputAwarePerformanceModel model(fast_options());
   std::vector<InputAwareSample> samples = {
       {space.decode(0), ProblemInstance{{0.0}}, 1.0}};
-  EXPECT_THROW(model.fit(space, {"size"}, samples, rng),
+  EXPECT_THROW(model.fit(space, {"size"}, samples, TuneRun::with_rng(rng)),
                std::invalid_argument);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "tuner/autotuner.hpp"
+#include "tuner/input_aware.hpp"
 #include "tuner/iterative.hpp"
 
 namespace pt::tuner {
@@ -128,11 +130,33 @@ void expect_same_iterative(const IterativeTuneResult& a,
   EXPECT_EQ(a.incumbent_trace, b.incumbent_trace);
 }
 
+/// The value of one gauge; NaN when it was never set.
+double gauge_of(const common::telemetry::Collector& collector,
+                std::string_view name) {
+  for (const auto& [gauge, value] : collector.gauges())
+    if (gauge == name) return value;
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+/// The tuner.rejections.<CL_STATUS> counters equal `rejections`, status by
+/// status, and there are no others.
+void expect_rejection_counters(const common::telemetry::Collector& collector,
+                               const RejectionCounts& rejections) {
+  const std::string prefix = "tuner.rejections.";
+  double total = 0.0;
+  for (const auto& [name, value] : collector.counters())
+    if (name.rfind(prefix, 0) == 0) total += value;
+  EXPECT_EQ(total, static_cast<double>(rejections.total()));
+  for (const auto& [status, n] : rejections.sorted())
+    EXPECT_EQ(collector.counter(prefix + clsim::to_string(status)),
+              static_cast<double>(n));
+}
+
 TEST(TunerRunContext, SeedOverloadMatchesRngOverload) {
   const AutoTuner tuner(fast_auto(80, 15));
   BowlEvaluator eval_rng;
   common::Rng rng(5);
-  const AutoTuneResult via_rng = tuner.tune(eval_rng, rng);
+  const AutoTuneResult via_rng = tuner.tune(eval_rng, TuneRun::with_rng(rng));
 
   AutoTunerOptions opts = fast_auto(80, 15);
   opts.run.seed = 5;
@@ -190,6 +214,9 @@ TEST(TunerRunContext, ObserverAndTelemetryDoNotPerturbIterativeTuner) {
     EXPECT_FALSE(collector.spans().empty());
     EXPECT_EQ(collector.counter("tuner.iterative.measurements"),
               static_cast<double>(on.measurements));
+    EXPECT_EQ(collector.counter("tuner.measure.attempts"),
+              static_cast<double>(on.measure_attempts));
+    expect_rejection_counters(collector, on.rejections);
   }
   common::set_global_pool_threads(0);
   EXPECT_FALSE(common::telemetry::enabled());
@@ -242,6 +269,191 @@ TEST(TunerObserver, CacheCountersSurfaceInResult) {
   EXPECT_EQ(result.cache_misses, cache.misses());
   EXPECT_EQ(result.cache_hits + result.cache_misses,
             result.stage1_measured + result.stage2_measured);
+
+  // The iterative tuner reports through the same ledger. Run it through a
+  // cache warmed by a one-shot tune, with a static checker, on a space with
+  // an invalid region, and check every shared metric against its result.
+  BowlEvaluator invalid_base(/*with_invalid=*/true);
+  CachingEvaluator warm(invalid_base);
+  (void)AutoTuner(opts).tune(warm);
+  const std::size_t hits_before = warm.hits();
+  const std::size_t misses_before = warm.misses();
+  common::telemetry::Collector collector;
+  IterativeTunerOptions iterative = fast_iterative();
+  iterative.run.seed = 9;
+  iterative.run.telemetry = &collector;
+  iterative.static_checker = testing::bowl_checker();
+  const IterativeTuneResult it = IterativeTuner(iterative).tune(warm);
+  ASSERT_TRUE(it.success);
+  EXPECT_EQ(it.cache_hits, warm.hits() - hits_before);
+  EXPECT_EQ(it.cache_misses, warm.misses() - misses_before);
+  EXPECT_EQ(it.cache_hits + it.cache_misses, it.measurements);
+  EXPECT_GT(it.cache_hits, 0u);
+  EXPECT_EQ(gauge_of(collector, "tuner.cache.hit_rate"),
+            static_cast<double>(it.cache_hits) /
+                static_cast<double>(it.cache_hits + it.cache_misses));
+  EXPECT_EQ(collector.counter("tuner.measure.attempts"),
+            static_cast<double>(it.measure_attempts));
+  EXPECT_GT(it.invalid_measurements, 0u);
+  expect_rejection_counters(collector, it.rejections);
+  EXPECT_GT(it.static_checked, 0u);
+  EXPECT_EQ(collector.counter("tuner.scan.static_checked"),
+            static_cast<double>(it.static_checked));
+  EXPECT_EQ(collector.counter("tuner.scan.static_pruned"),
+            static_cast<double>(it.static_pruned));
+  EXPECT_EQ(collector.counter("tuner.scan.static_proved_valid"),
+            static_cast<double>(it.static_proved_valid));
+  EXPECT_EQ(collector.counter("tuner.scan.static_unknown"),
+            static_cast<double>(it.static_unknown));
+  EXPECT_EQ(gauge_of(collector, "tuner.scan.static_pruned_fraction"),
+            static_cast<double>(it.static_pruned) /
+                static_cast<double>(it.static_checked));
+}
+
+/// Checks the relative order of callbacks as they arrive:
+///  - every on_sample directly follows an on_measurement of the same config;
+///  - every on_candidate directly precedes the measurement of that index;
+///  - every on_epoch falls after a model-fit stage ends (autotuner/iterative
+///    "*.model.fit", "input_aware.fit") and before the next stage begins.
+class OrderObserver final : public TunerObserver {
+ public:
+  explicit OrderObserver(ParamSpace space) : space_(std::move(space)) {}
+
+  void on_stage_begin(std::string_view /*tuner*/,
+                      std::string_view stage) override {
+    expect_no_pending_candidate();
+    last_ = Event::kStageBegin;
+    last_stage_ = stage;
+  }
+  void on_stage_end(std::string_view /*tuner*/,
+                    std::string_view stage) override {
+    expect_no_pending_candidate();
+    last_ = Event::kStageEnd;
+    last_stage_ = stage;
+  }
+  void on_sample(std::string_view stage, const Configuration& config,
+                 const Measurement& /*m*/) override {
+    expect_no_pending_candidate();
+    EXPECT_EQ(last_, Event::kMeasurement) << "on_sample in " << stage;
+    EXPECT_EQ(config, last_config_);
+    EXPECT_EQ(std::string(stage), last_stage_);
+    last_ = Event::kSample;
+    ++samples;
+  }
+  void on_epoch(std::size_t /*member*/, std::size_t /*epoch*/,
+                double /*train_loss*/, double /*monitored*/) override {
+    expect_no_pending_candidate();
+    const bool after_fit =
+        last_ == Event::kStageEnd &&
+        (last_stage_.ends_with(".model.fit") ||
+         last_stage_ == "input_aware.fit");
+    EXPECT_TRUE(last_ == Event::kEpoch || after_fit)
+        << "on_epoch after " << last_stage_;
+    last_ = Event::kEpoch;
+    ++epochs;
+  }
+  void on_candidate(std::uint64_t index, double /*predicted_ms*/) override {
+    expect_no_pending_candidate();
+    pending_candidate_ = true;
+    candidate_index_ = index;
+    last_ = Event::kCandidate;
+    ++candidates;
+  }
+  void on_measurement(std::string_view stage, const Configuration& config,
+                      const Measurement& /*m*/) override {
+    if (pending_candidate_) {
+      EXPECT_EQ(space_.encode(config), candidate_index_);
+      pending_candidate_ = false;
+    }
+    last_ = Event::kMeasurement;
+    last_stage_ = stage;
+    last_config_ = config;
+    ++measurements;
+  }
+
+  /// Call after the run: a trailing candidate was never measured.
+  void finish() { expect_no_pending_candidate(); }
+
+  std::size_t samples = 0;
+  std::size_t epochs = 0;
+  std::size_t candidates = 0;
+  std::size_t measurements = 0;
+
+ private:
+  enum class Event {
+    kNone,
+    kStageBegin,
+    kStageEnd,
+    kSample,
+    kEpoch,
+    kCandidate,
+    kMeasurement
+  };
+
+  void expect_no_pending_candidate() {
+    EXPECT_FALSE(pending_candidate_)
+        << "candidate " << candidate_index_ << " not measured next";
+    pending_candidate_ = false;
+  }
+
+  ParamSpace space_;
+  Event last_ = Event::kNone;
+  std::string last_stage_;
+  Configuration last_config_;
+  bool pending_candidate_ = false;
+  std::uint64_t candidate_index_ = 0;
+};
+
+TEST(TunerObserver, CallbackOrderAutoTuner) {
+  BowlEvaluator eval(/*with_invalid=*/true);
+  OrderObserver obs(eval.space());
+  AutoTunerOptions opts = fast_auto(80, 15);
+  opts.run.seed = 4;
+  opts.run.observer = &obs;
+  const AutoTuneResult result = AutoTuner(opts).tune(eval);
+  obs.finish();
+  ASSERT_TRUE(result.success);
+  EXPECT_EQ(obs.samples, result.stage1_measured);
+  EXPECT_EQ(obs.candidates, result.stage2_measured);
+  EXPECT_GT(obs.epochs, 0u);
+}
+
+TEST(TunerObserver, CallbackOrderIterativeTuner) {
+  BowlEvaluator eval(/*with_invalid=*/true);
+  OrderObserver obs(eval.space());
+  IterativeTunerOptions opts = fast_iterative();
+  opts.run.seed = 4;
+  opts.run.observer = &obs;
+  const IterativeTuneResult result = IterativeTuner(opts).tune(eval);
+  obs.finish();
+  ASSERT_TRUE(result.success);
+  EXPECT_EQ(obs.samples, result.measurements);
+  EXPECT_GT(obs.candidates, 0u);
+  EXPECT_GT(obs.epochs, 0u);
+}
+
+TEST(TunerObserver, CallbackOrderInputAwareFit) {
+  const ParamSpace space = testing::small_space();
+  OrderObserver obs(space);
+  std::vector<InputAwareSample> samples;
+  common::Rng gen(11);
+  for (int i = 0; i < 40; ++i) {
+    const Configuration config = space.decode(gen.below(space.size()));
+    const double size = static_cast<double>(1 << (1 + (i % 4)));
+    samples.push_back({config, ProblemInstance{{size}},
+                       1.0 + 0.01 * config.values[0] + 0.5 * size});
+  }
+  InputAwarePerformanceModel::Options options;
+  options.ensemble.k = 2;
+  options.ensemble.hidden_layers = {
+      ml::LayerSpec{10, ml::Activation::kSigmoid}};
+  options.ensemble.trainer.common.max_epochs = 120;
+  options.run.observer = &obs;
+  InputAwarePerformanceModel model(options);
+  model.fit(space, {"size"}, samples);
+  obs.finish();
+  ASSERT_TRUE(model.fitted());
+  EXPECT_GT(obs.epochs, 0u);
 }
 
 }  // namespace

@@ -207,7 +207,7 @@ TEST_F(ScanQuantTest, InputAwareQuantScanMatchesFp64) {
         1.0 + (a - 3.0) * (a - 3.0) + 0.5 * (b - 4.0) * (b - 4.0);
     samples.push_back({c, ProblemInstance{{size}}, shape * size / 256.0});
   }
-  model.fit(space, {"size"}, samples, rng);
+  model.fit(space, {"size"}, samples, TuneRun::with_rng(rng));
 
   for (const double size : {64.0, 1024.0}) {
     const ProblemInstance instance{{size}};

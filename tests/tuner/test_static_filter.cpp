@@ -20,27 +20,8 @@ namespace {
 namespace az = clsim::analyze;
 
 using testing::BowlEvaluator;
+using testing::bowl_checker;
 using testing::small_space;
-
-/// Analyzer view of testing::small_space with the BowlEvaluator(with_invalid)
-/// rule encoded: A=128 is rejected, everything else is valid.
-std::shared_ptr<const az::StaticChecker> bowl_checker() {
-  az::KernelConstraints kc;
-  kc.kernel_name = "bowl";
-  kc.domain = az::ParamDomain({
-      {"A", {1, 2, 4, 8, 16, 32, 64, 128}},
-      {"B", {1, 2, 4, 8, 16, 32, 64, 128}},
-      {"C", {0, 1, 2, 3}},
-  });
-  kc.complete = true;
-  kc.constraints.push_back({"a_group_limit",
-                            az::ConstraintCategory::kWorkGroupGeometry,
-                            az::param_expr(kc.domain, "A"),
-                            az::Relation::kLess, az::cexpr(128.0),
-                            az::AffineExpr{}});
-  return std::make_shared<az::StaticChecker>(std::move(kc),
-                                             clsim::DeviceInfo{});
-}
 
 /// First flat index whose decoded A value matches `a`.
 std::uint64_t index_with_a(const ParamSpace& space, int a) {
@@ -132,12 +113,12 @@ TEST(StaticScanFilter, AutoTunerSelectionBitIdenticalWithCoveringStage2) {
   BowlEvaluator eval_plain(/*with_invalid=*/true);
   common::Rng rng_plain(21);
   const AutoTuneResult without =
-      AutoTuner(plain).tune(eval_plain, rng_plain);
+      AutoTuner(plain).tune(eval_plain, TuneRun::with_rng(rng_plain));
 
   BowlEvaluator eval_filtered(/*with_invalid=*/true);
   common::Rng rng_filtered(21);
   const AutoTuneResult with =
-      AutoTuner(filtered).tune(eval_filtered, rng_filtered);
+      AutoTuner(filtered).tune(eval_filtered, TuneRun::with_rng(rng_filtered));
 
   ASSERT_TRUE(without.success);
   ASSERT_TRUE(with.success);
@@ -171,7 +152,8 @@ TEST(StaticScanFilter, IterativeTunerPrunesAndStaysSound) {
 
   BowlEvaluator eval(/*with_invalid=*/true);
   common::Rng rng(5);
-  const IterativeTuneResult result = IterativeTuner(options).tune(eval, rng);
+  const IterativeTuneResult result =
+      IterativeTuner(options).tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_NE(result.best_config.values[0], 128);
   EXPECT_GT(result.static_checked, 0u);
