@@ -84,7 +84,6 @@ struct PathRun {
   double top_m_ms = 0.0;
   double top_m_configs_per_sec = 0.0;
   std::uint64_t fp64_reranked = 0;
-  std::uint64_t quant_reranked = 0;
   std::uint64_t near_ties = 0;
   // Coarse-pass error bound in force and the max error observed on the
   // re-ranked rows (both 0 on fp64), raw output units.
@@ -144,7 +143,6 @@ PathRun run_path(pt::tuner::AnnPerformanceModel& model,
     run.top_m_ms = ms_since(start);
     run.top_m_configs_per_sec = configs_per_sec(scanned, run.top_m_ms);
     run.fp64_reranked = scan.fp64_reranked;
-    run.quant_reranked = scan.quant_reranked;
     run.near_ties = scan.near_ties;
     run.error_bound = scan.error_bound;
     run.observed_error = scan.observed_error;
@@ -334,7 +332,6 @@ int main(int argc, char** argv) {
         path_json.set("top_m_configs_per_sec", p.top_m_configs_per_sec);
         path_json.set("top_m_speedup_vs_fp64", p.top_m_speedup);
         path_json.set("fp64_reranked", p.fp64_reranked);
-        path_json.set("quant_reranked", p.quant_reranked);
         path_json.set("near_ties", p.near_ties);
         path_json.set("error_bound", p.error_bound);
         path_json.set("observed_error", p.observed_error);

@@ -158,19 +158,24 @@ AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
     filter = ledger.scan_filter(space, std::move(filter));
     const TopMScanResult scan = result.model->predict_scan_top_m(
         0, scan_end, options_.second_stage_size, filter);
-    candidates.reserve(options_.second_stage_size);
-    for (const auto& c : scan.top) candidates.push_back(c);
+    candidates = scan.top;
     if (result.validity_model) {
       result.stage2_filtered = static_cast<std::size_t>(scan.rejected);
       // If the filter was too aggressive, top up with the best remaining
-      // configurations from the unfiltered ranking.
-      for (const auto& c : scan.top_unfiltered) {
-        if (candidates.size() >= options_.second_stage_size) break;
-        if (std::find_if(candidates.begin(), candidates.end(),
-                         [&c](const ScanCandidate& have) {
-                           return have.index == c.index;
-                         }) == candidates.end())
-          candidates.push_back(c);
+      // configurations of an unfiltered ranking (neither the validity nor
+      // the static filter), scanned only when it is needed.
+      const std::size_t m = options_.second_stage_size;
+      if (candidates.size() < m) {
+        const TopMScanResult unfiltered =
+            result.model->predict_scan_top_m(0, scan_end, m);
+        for (const auto& c : unfiltered.top) {
+          if (candidates.size() >= m) break;
+          if (std::find_if(candidates.begin(), candidates.end(),
+                           [&c](const ScanCandidate& have) {
+                             return have.index == c.index;
+                           }) == candidates.end())
+            candidates.push_back(c);
+        }
       }
     }
   }

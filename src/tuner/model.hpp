@@ -79,8 +79,8 @@ class AnnPerformanceModel {
   /// the lowest predicted time (ascending), found in O(n log m) time and
   /// O(workers * m) memory — no full prediction vector. The optional filter
   /// (e.g. a validity model; must be thread-safe) is applied during the
-  /// scan, lazily, and the result also carries the unfiltered top-m so
-  /// callers can top up after heavy filtering.
+  /// scan, lazily; the result is the filtered top-m only. A caller that
+  /// needs the unfiltered ranking too runs a second scan without filter.
   [[nodiscard]] TopMScanResult predict_scan_top_m(
       std::uint64_t begin, std::uint64_t end, std::size_t m,
       const ScanFilter& filter = {}) const;

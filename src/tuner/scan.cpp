@@ -5,8 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "common/telemetry/telemetry.hpp"
@@ -17,8 +17,8 @@ namespace {
 
 /// Per-chunk working set: the feature matrix, the ensemble's prediction
 /// scratch, and the raw-output vector — plus the fp32 equivalents for the
-/// batched path. Pooled so each worker reuses one across all the chunks it
-/// executes.
+/// reduced-precision tiers. Pooled so each worker reuses one across all
+/// the chunks it executes.
 struct ChunkScratch {
   ml::Matrix x;
   ml::BaggingEnsemble::PredictScratch ps;
@@ -61,55 +61,31 @@ bool better(const RawCandidate& a, const RawCandidate& b) {
   return a.index < b.index;
 }
 
-/// Bounded selection heap: keeps the best m candidates seen so far with the
-/// worst of them at the front (a max-heap under `better`), so each new
-/// candidate is one comparison against the current cutoff.
-class BoundedTopM {
- public:
-  explicit BoundedTopM(std::size_t m) : m_(m) { heap_.reserve(m); }
-
-  [[nodiscard]] bool would_enter(const RawCandidate& c) const {
-    if (m_ == 0) return false;
-    if (heap_.size() < m_) return true;
-    return better(c, heap_.front());
-  }
-
-  void push(const RawCandidate& c) {
-    heap_.push_back(c);
-    std::push_heap(heap_.begin(), heap_.end(), better);
-    if (heap_.size() > m_) {
-      std::pop_heap(heap_.begin(), heap_.end(), better);
-      heap_.pop_back();
-    }
-  }
-
-  [[nodiscard]] std::vector<RawCandidate> take() { return std::move(heap_); }
-
- private:
-  std::size_t m_;
-  std::vector<RawCandidate> heap_;
-};
-
-/// Relaxed selection for the reduced-precision paths: the best-m heap plus
-/// an overflow list of every candidate within `slack` (= 2x the coarse-pass
-/// error bound) of the heap cutoff. The heap cutoff only improves as the
-/// chunk streams, so pruning the overflow against the current cutoff never
-/// drops a candidate that the final cutoff would have kept.
+/// One chunk's selection: the best-m heap (worst on top, so each new
+/// candidate is one comparison against the current cutoff) plus an overflow
+/// list of every candidate within `slack` (= 2x the coarse-pass error
+/// bound) of the heap cutoff. The heap cutoff only improves as the chunk
+/// streams, so pruning the overflow against the current cutoff never drops
+/// a candidate that the final cutoff would have kept. At slack 0 (the fp64
+/// reference) the overflow stays empty and the heap keeps exactly the
+/// chunk's best m.
 class RelaxedTopM {
  public:
-  RelaxedTopM(std::size_t m, double slack) : m_(m), slack_(slack) {
-    heap_.reserve(m);
+  /// Requires m > 0. `rows` is the chunk's row count: the heap never holds
+  /// more.
+  RelaxedTopM(std::size_t m, double slack, std::size_t rows)
+      : m_(m), slack_(slack) {
+    heap_.reserve(std::min(m, rows));
   }
 
   /// True if offer() would retain this candidate (used for lazy filters).
   [[nodiscard]] bool would_keep(const RawCandidate& c) const {
-    if (m_ == 0) return false;
     if (heap_.size() < m_) return true;
-    return c.raw <= heap_.front().raw + slack_;
+    return better(c, heap_.front()) || in_band(c);
   }
 
+  /// Retains `c`; requires would_keep(c).
   void offer(const RawCandidate& c) {
-    if (!would_keep(c)) return;
     if (heap_.size() < m_) {
       heap_.push_back(c);
       std::push_heap(heap_.begin(), heap_.end(), better);
@@ -121,8 +97,7 @@ class RelaxedTopM {
       std::pop_heap(heap_.begin(), heap_.end(), better);
       const RawCandidate evicted = heap_.back();
       heap_.pop_back();
-      if (evicted.raw <= heap_.front().raw + slack_)
-        overflow_.push_back(evicted);
+      if (in_band(evicted)) overflow_.push_back(evicted);
     } else {
       overflow_.push_back(c);
     }
@@ -142,72 +117,109 @@ class RelaxedTopM {
   }
 
  private:
+  /// Within the re-rank band of a full heap's cutoff (never at slack 0).
+  [[nodiscard]] bool in_band(const RawCandidate& c) const {
+    return slack_ > 0.0 && c.raw <= heap_.front().raw + slack_;
+  }
+
   std::size_t m_;
   double slack_;
   std::vector<RawCandidate> heap_;
   std::vector<RawCandidate> overflow_;
 };
 
-std::uint64_t chunk_count_for(std::uint64_t n) {
-  return (n + kScanChunkRows - 1) / kScanChunkRows;
-}
-
-std::vector<ScanCandidate> merge_chunks(
-    std::vector<std::vector<RawCandidate>>& chunks, std::size_t m,
-    const OutputTransform& transform) {
-  std::vector<RawCandidate> all;
-  for (auto& v : chunks) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end(), better);
-  if (all.size() > m) all.resize(m);
-  std::vector<ScanCandidate> out;
-  out.reserve(all.size());
-  for (const auto& c : all)
-    out.push_back(ScanCandidate{c.index, transform(c.raw)});
-  return out;
-}
-
-void require_batched(const ScanOptions& options, const BatchedScan* batched,
-                     const char* where) {
-  if (options.inference == ScanInference::kScalarFp64) return;
-  if (options.inference == ScanInference::kBatchedFp32) {
-    if (!batched || !batched->engine || !batched->fill)
-      throw std::invalid_argument(std::string(where) +
-                                  ": batched fp32 inference requested without "
-                                  "an engine and fp32 row filler");
-    return;
-  }
-  if (!batched || !batched->quant || !batched->fill)
-    throw std::invalid_argument(std::string(where) +
-                                ": int8 inference requested without a "
-                                "quantized engine and fp32 row filler");
-}
-
-/// The engine a scan actually runs and the coarse-pass error bound in
-/// force. An fp32 request whose certificate is missing or above
-/// kMaxFp32ErrorBound runs on fp64 (fallback set).
-struct ScanPlan {
+/// The engine a scan runs, resolved once per call from the options: the
+/// fp64 pair (always present — it is the reference and the re-rank path),
+/// the reduced-precision engines, the tier the chunk pass drives and the
+/// coarse-pass error bound in force (0 on fp64). An fp32 request whose
+/// certificate is missing or above kMaxFp32ErrorBound runs on fp64
+/// (fallback set).
+struct ScanEngine {
+  const ml::BaggingEnsemble& ensemble;
+  const ScanRowFiller& fill;
+  const BatchedScan* batched = nullptr;
   ScanInference inference = ScanInference::kScalarFp64;
   double bound = 0.0;
   bool fallback = false;
+
+  [[nodiscard]] bool reduced() const noexcept {
+    return inference != ScanInference::kScalarFp64;
+  }
 };
 
-ScanPlan plan_scan(const ScanOptions& options, const BatchedScan* batched) {
+ScanEngine resolve_engine(const ml::BaggingEnsemble& ensemble,
+                          const ScanRowFiller& fill,
+                          const ScanOptions& options,
+                          const BatchedScan* batched, const char* where) {
+  ScanEngine e{ensemble, fill, batched};
   switch (options.inference) {
     case ScanInference::kScalarFp64:
-      return {};
+      return e;
     case ScanInference::kQuantInt8:
-      return {ScanInference::kQuantInt8, options.quant_error_bound, false};
+      if (!batched || !batched->quant || !batched->fill)
+        throw std::invalid_argument(std::string(where) +
+                                    ": int8 inference requested without a "
+                                    "quantized engine and fp32 row filler");
+      e.inference = ScanInference::kQuantInt8;
+      e.bound = options.quant_error_bound;
+      return e;
     case ScanInference::kBatchedFp32:
       break;
   }
+  if (!batched || !batched->engine || !batched->fill)
+    throw std::invalid_argument(std::string(where) +
+                                ": batched fp32 inference requested without "
+                                "an engine and fp32 row filler");
   const double certificate = batched->engine->error_bound();
   if (!(certificate <= kMaxFp32ErrorBound)) {
     if (common::telemetry::enabled())
       common::telemetry::count("tuner.scan.fp64_fallback");
-    return {ScanInference::kScalarFp64, 0.0, true};
+    e.fallback = true;
+    return e;
   }
-  return {ScanInference::kBatchedFp32,
-          certificate + batched->extra_fp32_error, false};
+  e.inference = ScanInference::kBatchedFp32;
+  e.bound = certificate + batched->extra_fp32_error;
+  return e;
+}
+
+std::uint64_t chunk_count_for(std::uint64_t n) {
+  return (n + kScanChunkRows - 1) / kScanChunkRows;
+}
+
+/// The one chunk pass every scan runs: [begin, end) in kScanChunkRows
+/// chunks on the global pool, each chunk's rows predicted on the resolved
+/// engine and visit(c, lo, raw) called with raw[i] the raw network output
+/// of row lo + i — a span of float on the reduced tiers, of double on
+/// fp64, so `visit` is generic over the element type.
+template <class Visit>
+void scan_chunks(const ScanEngine& e, std::uint64_t begin, std::uint64_t end,
+                 const Visit& visit) {
+  ScratchPool pool;
+  common::global_pool().parallel_for(
+      0, static_cast<std::size_t>(chunk_count_for(end - begin)),
+      [&](std::size_t c) {
+        const common::telemetry::Span span("scan.chunk");
+        const std::uint64_t lo = begin + c * kScanChunkRows;
+        const std::uint64_t hi =
+            std::min<std::uint64_t>(end, lo + kScanChunkRows);
+        const std::size_t rows = static_cast<std::size_t>(hi - lo);
+        auto s = pool.acquire();
+        if (e.reduced()) {
+          e.batched->fill(lo, hi, s->xf);
+          if (e.inference == ScanInference::kQuantInt8)
+            e.batched->quant->predict_batch_into(s->xf.data(), rows,
+                                                 s->predsf, s->qs);
+          else
+            e.batched->engine->predict_batch_into(s->xf.data(), rows,
+                                                  s->predsf, s->bs);
+          visit(c, lo, std::span<const float>(s->predsf.data(), rows));
+        } else {
+          e.fill(lo, hi, s->x);
+          e.ensemble.predict_batch_into(s->x, s->preds, s->ps);
+          visit(c, lo, std::span<const double>(s->preds.data(), rows));
+        }
+        pool.release(std::move(s));
+      });
 }
 
 void gauge_configs_per_sec(std::uint64_t n,
@@ -221,64 +233,46 @@ void gauge_configs_per_sec(std::uint64_t n,
                              static_cast<double>(n) / seconds);
 }
 
-/// Exact fp64 raw outputs for a set of flat indices: rows are gathered one
+/// Replaces each candidate's coarse raw output with its exact fp64 one and
+/// returns the largest |coarse - fp64| seen. Rows are gathered one
 /// unit-range fill at a time (the filler only takes contiguous ranges) into
 /// per-chunk matrices and sent through batched fp64 predicts on the pool.
 /// Bit-identical to what the chunked fp64 scan computes for the same
 /// indices, whatever the gathered row count: every kernel under
 /// predict_batch_into accumulates per output element in a row-count
-/// independent order. Batching matters on the quantized paths, whose wide
-/// re-rank bands can hold thousands of survivors.
-std::unordered_map<std::uint64_t, double> rerank_fp64(
-    const ml::BaggingEnsemble& ensemble, const ScanRowFiller& fill,
-    std::vector<std::uint64_t> indices) {
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  std::unordered_map<std::uint64_t, double> raw64;
-  raw64.reserve(indices.size());
-  if (indices.empty()) return raw64;
-  std::vector<double> preds(indices.size());
+/// independent order. Batching matters on the quantized tier, whose wide
+/// re-rank band can hold thousands of survivors.
+double rerank_fp64(const ml::BaggingEnsemble& ensemble,
+                   const ScanRowFiller& fill,
+                   std::vector<RawCandidate>& survivors) {
   const std::size_t chunks =
-      (indices.size() + kScanChunkRows - 1) / kScanChunkRows;
+      (survivors.size() + kScanChunkRows - 1) / kScanChunkRows;
+  std::vector<double> chunk_error(chunks, 0.0);
   ScratchPool pool;
   common::global_pool().parallel_for(0, chunks, [&](std::size_t c) {
     auto scratch = pool.acquire();
     const std::size_t lo = c * kScanChunkRows;
-    const std::size_t hi = std::min(indices.size(), lo + kScanChunkRows);
-    fill(indices[lo], indices[lo] + 1, scratch->x);
+    const std::size_t hi = std::min(survivors.size(), lo + kScanChunkRows);
+    fill(survivors[lo].index, survivors[lo].index + 1, scratch->x);
     ml::Matrix batch(hi - lo, scratch->x.cols());
     for (std::size_t r = lo; r < hi; ++r) {
-      if (r != lo) fill(indices[r], indices[r] + 1, scratch->x);
+      if (r != lo) fill(survivors[r].index, survivors[r].index + 1, scratch->x);
       const auto src = scratch->x.row(0);
       auto dst = batch.row(r - lo);
       for (std::size_t j = 0; j < src.size(); ++j) dst[j] = src[j];
     }
     ensemble.predict_batch_into(batch, scratch->preds, scratch->ps);
-    for (std::size_t r = lo; r < hi; ++r) preds[r] = scratch->preds[r - lo];
+    for (std::size_t r = lo; r < hi; ++r) {
+      const double exact = scratch->preds[r - lo];
+      chunk_error[c] =
+          std::max(chunk_error[c], std::fabs(survivors[r].raw - exact));
+      survivors[r].raw = exact;
+    }
     pool.release(std::move(scratch));
   });
-  for (std::size_t r = 0; r < indices.size(); ++r)
-    raw64.emplace(indices[r], preds[r]);
-  return raw64;
-}
-
-/// Survivors of the global fp32 cutoff: every candidate within `slack` of
-/// the m-th best fp32 output (all of them when fewer than m exist). These
-/// are exactly the candidates whose fp64 rank can still reach the top m.
-std::vector<RawCandidate> fp32_survivors(
-    std::vector<std::vector<RawCandidate>>& chunks, std::size_t m,
-    double slack) {
-  std::vector<RawCandidate> all;
-  for (auto& v : chunks) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end(), better);
-  if (all.size() > m) {
-    const double bound = all[m - 1].raw + slack;
-    const auto first_out = std::find_if(
-        all.begin() + static_cast<std::ptrdiff_t>(m), all.end(),
-        [bound](const RawCandidate& c) { return c.raw > bound; });
-    all.erase(first_out, all.end());
-  }
-  return all;
+  double observed = 0.0;
+  for (double err : chunk_error) observed = std::max(observed, err);
+  return observed;
 }
 
 /// The fillers and engines of one EncodedScan. The shared pointers keep a
@@ -319,21 +313,6 @@ EncodedEngines encoded_engines(const EncodedScan& scan) {
   return e;
 }
 
-/// Re-rank survivors by their exact fp64 outputs and emit the final top-m.
-std::vector<ScanCandidate> finish_fp64(
-    std::vector<RawCandidate>& survivors,
-    const std::unordered_map<std::uint64_t, double>& raw64, std::size_t m,
-    const OutputTransform& transform) {
-  for (RawCandidate& c : survivors) c.raw = raw64.at(c.index);
-  std::sort(survivors.begin(), survivors.end(), better);
-  if (survivors.size() > m) survivors.resize(m);
-  std::vector<ScanCandidate> out;
-  out.reserve(survivors.size());
-  for (const auto& c : survivors)
-    out.push_back(ScanCandidate{c.index, transform(c.raw)});
-  return out;
-}
-
 }  // namespace
 
 std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
@@ -343,43 +322,18 @@ std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
                                        const ScanOptions& options,
                                        const BatchedScan* batched) {
   if (begin > end) throw std::invalid_argument("scan_predict_range: bad range");
-  require_batched(options, batched, "scan_predict_range");
+  const ScanEngine engine =
+      resolve_engine(ensemble, fill, options, batched, "scan_predict_range");
   const std::uint64_t n = end - begin;
   std::vector<double> out(static_cast<std::size_t>(n));
   if (n == 0) return out;
-  const ScanPlan plan = plan_scan(options, batched);
-  const bool quant = plan.inference == ScanInference::kQuantInt8;
-  const bool approx = plan.inference != ScanInference::kScalarFp64;
   const auto start = std::chrono::steady_clock::now();
-
-  ScratchPool pool;
-  common::global_pool().parallel_for(
-      0, static_cast<std::size_t>(chunk_count_for(n)), [&](std::size_t c) {
-        const common::telemetry::Span span("scan.chunk");
-        const std::uint64_t lo = begin + c * kScanChunkRows;
-        const std::uint64_t hi = std::min<std::uint64_t>(end, lo + kScanChunkRows);
-        auto scratch = pool.acquire();
-        const std::size_t offset = static_cast<std::size_t>(lo - begin);
-        const std::size_t rows = static_cast<std::size_t>(hi - lo);
-        if (approx) {
-          batched->fill(lo, hi, scratch->xf);
-          if (quant)
-            batched->quant->predict_batch_into(scratch->xf.data(), rows,
-                                               scratch->predsf, scratch->qs);
-          else
-            batched->engine->predict_batch_into(scratch->xf.data(), rows,
-                                                scratch->predsf, scratch->bs);
-          for (std::size_t i = 0; i < rows; ++i)
-            out[offset + i] =
-                transform(static_cast<double>(scratch->predsf[i]));
-        } else {
-          fill(lo, hi, scratch->x);
-          ensemble.predict_batch_into(scratch->x, scratch->preds, scratch->ps);
-          for (std::size_t i = 0; i < scratch->preds.size(); ++i)
-            out[offset + i] = transform(scratch->preds[i]);
-        }
-        pool.release(std::move(scratch));
-      });
+  scan_chunks(engine, begin, end,
+              [&](std::size_t, std::uint64_t lo, auto raw) {
+                double* dst = out.data() + (lo - begin);
+                for (std::size_t i = 0; i < raw.size(); ++i)
+                  dst[i] = transform(static_cast<double>(raw[i]));
+              });
   gauge_configs_per_sec(n, start);
   return out;
 }
@@ -393,125 +347,76 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
   if (begin > end) throw std::invalid_argument("scan_top_m: bad range");
   if (!(transform.scale > 0.0))
     throw std::invalid_argument("scan_top_m: non-positive transform scale");
-  require_batched(options, batched, "scan_top_m");
+  const ScanEngine engine =
+      resolve_engine(ensemble, fill, options, batched, "scan_top_m");
   TopMScanResult result;
   const std::uint64_t n = end - begin;
   result.scanned = n;
   if (n == 0 || m == 0) return result;
-  const ScanPlan plan = plan_scan(options, batched);
-  const bool quant = plan.inference == ScanInference::kQuantInt8;
-  const bool approx = plan.inference != ScanInference::kScalarFp64;
-  const double slack = 2.0 * plan.bound;
-  result.error_bound = plan.bound;
-  result.fp64_fallback = plan.fallback;
+  const double slack = 2.0 * engine.bound;
+  result.error_bound = engine.bound;
+  result.fp64_fallback = engine.fallback;
   const auto start = std::chrono::steady_clock::now();
 
   const std::size_t chunks = static_cast<std::size_t>(chunk_count_for(n));
   std::vector<std::vector<RawCandidate>> chunk_top(chunks);
-  std::vector<std::vector<RawCandidate>> chunk_top_unfiltered(chunks);
   std::vector<std::uint64_t> chunk_rejected(chunks, 0);
-
-  ScratchPool pool;
-  common::global_pool().parallel_for(0, chunks, [&](std::size_t c) {
-    const common::telemetry::Span span("scan.chunk");
-    const std::uint64_t lo = begin + c * kScanChunkRows;
-    const std::uint64_t hi = std::min<std::uint64_t>(end, lo + kScanChunkRows);
-    auto scratch = pool.acquire();
-    const std::size_t rows = static_cast<std::size_t>(hi - lo);
-    std::uint64_t rejected = 0;
-    if (approx) {
-      batched->fill(lo, hi, scratch->xf);
-      if (quant)
-        batched->quant->predict_batch_into(scratch->xf.data(), rows,
-                                           scratch->predsf, scratch->qs);
-      else
-        batched->engine->predict_batch_into(scratch->xf.data(), rows,
-                                            scratch->predsf, scratch->bs);
-      RelaxedTopM unfiltered(m, slack);
-      RelaxedTopM filtered(m, slack);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const RawCandidate cand{static_cast<double>(scratch->predsf[i]),
-                                lo + i};
-        unfiltered.offer(cand);
-        if (filter && filtered.would_keep(cand)) {
-          // Lazy filter evaluation: only candidates good enough to be
-          // retained pay for the validity check.
-          if (filter(cand.index)) {
-            filtered.offer(cand);
-          } else {
-            ++rejected;
-          }
-        }
-      }
-      chunk_top_unfiltered[c] = unfiltered.take();
-      if (filter) chunk_top[c] = filtered.take();
-    } else {
-      fill(lo, hi, scratch->x);
-      ensemble.predict_batch_into(scratch->x, scratch->preds, scratch->ps);
-      BoundedTopM unfiltered(m);
-      BoundedTopM filtered(m);
-      for (std::size_t i = 0; i < scratch->preds.size(); ++i) {
-        const RawCandidate cand{scratch->preds[i], lo + i};
-        if (unfiltered.would_enter(cand)) unfiltered.push(cand);
-        if (filter && filtered.would_enter(cand)) {
-          // Lazy filter evaluation: only candidates good enough to enter the
-          // chunk heap pay for the validity check.
-          if (filter(cand.index)) {
-            filtered.push(cand);
-          } else {
-            ++rejected;
-          }
-        }
-      }
-      chunk_top_unfiltered[c] = unfiltered.take();
-      if (filter) chunk_top[c] = filtered.take();
-    }
-    chunk_rejected[c] = rejected;
-    pool.release(std::move(scratch));
-  });
-
+  scan_chunks(engine, begin, end,
+              [&](std::size_t c, std::uint64_t lo, auto raw) {
+                RelaxedTopM top(m, slack, raw.size());
+                std::uint64_t rejected = 0;
+                for (std::size_t i = 0; i < raw.size(); ++i) {
+                  const RawCandidate cand{static_cast<double>(raw[i]),
+                                          lo + i};
+                  if (!top.would_keep(cand)) continue;
+                  // Lazy filter evaluation: only candidates good enough to
+                  // be retained pay for the validity check.
+                  if (filter && !filter(cand.index)) {
+                    ++rejected;
+                    continue;
+                  }
+                  top.offer(cand);
+                }
+                chunk_top[c] = top.take();
+                chunk_rejected[c] = rejected;
+              });
   for (std::uint64_t r : chunk_rejected) result.rejected += r;
-  if (approx) {
-    // Survivors of the coarse-pass cutoff (per selection set), then one
-    // exact fp64 evaluation per unique survivor, then the fp64-ordered
-    // truncation. The result matches the fp64 path exactly whenever the
-    // coarse-pass error stays within the bound in force.
-    std::vector<RawCandidate> unfiltered_survivors =
-        fp32_survivors(chunk_top_unfiltered, m, slack);
-    std::vector<RawCandidate> filtered_survivors =
-        filter ? fp32_survivors(chunk_top, m, slack)
-               : std::vector<RawCandidate>{};
-    result.near_ties +=
-        unfiltered_survivors.size() -
-        std::min<std::size_t>(m, unfiltered_survivors.size());
-    result.near_ties += filtered_survivors.size() -
-                        std::min<std::size_t>(m, filtered_survivors.size());
-    std::vector<std::uint64_t> indices;
-    indices.reserve(unfiltered_survivors.size() + filtered_survivors.size());
-    for (const auto& c : unfiltered_survivors) indices.push_back(c.index);
-    for (const auto& c : filtered_survivors) indices.push_back(c.index);
-    const auto raw64 = rerank_fp64(ensemble, fill, std::move(indices));
-    result.fp64_reranked = raw64.size();
-    if (quant) result.quant_reranked = result.fp64_reranked;
-    for (const auto* survivors : {&unfiltered_survivors, &filtered_survivors})
-      for (const RawCandidate& c : *survivors)
-        result.observed_error = std::max(
-            result.observed_error, std::fabs(c.raw - raw64.at(c.index)));
-    result.top_unfiltered = finish_fp64(unfiltered_survivors, raw64, m, transform);
-    result.top = filter ? finish_fp64(filtered_survivors, raw64, m, transform)
-                        : result.top_unfiltered;
-  } else {
-    result.top_unfiltered = merge_chunks(chunk_top_unfiltered, m, transform);
-    result.top =
-        filter ? merge_chunks(chunk_top, m, transform) : result.top_unfiltered;
+
+  // Survivors of the global cutoff: every candidate within `slack` of the
+  // m-th best coarse output — exactly the candidates whose fp64 rank can
+  // still reach the top m. On a reduced tier they are re-ranked by their
+  // exact fp64 outputs, so the selection matches the fp64 scan whenever the
+  // coarse-pass error stays within the bound in force.
+  std::vector<RawCandidate> top;
+  for (auto& v : chunk_top) top.insert(top.end(), v.begin(), v.end());
+  std::sort(top.begin(), top.end(), better);
+  if (top.size() > m) {
+    const double bound = top[m - 1].raw + slack;
+    top.erase(std::find_if(top.begin() + static_cast<std::ptrdiff_t>(m),
+                           top.end(),
+                           [bound](const RawCandidate& c) {
+                             return c.raw > bound;
+                           }),
+              top.end());
   }
+  if (engine.reduced()) {
+    result.near_ties = top.size() - std::min(m, top.size());
+    result.fp64_reranked = top.size();
+    result.observed_error = rerank_fp64(ensemble, fill, top);
+    std::sort(top.begin(), top.end(), better);
+  }
+  if (top.size() > m) top.resize(m);
+  result.top.reserve(top.size());
+  for (const RawCandidate& c : top)
+    result.top.push_back(ScanCandidate{c.index, transform(c.raw)});
+
   gauge_configs_per_sec(n, start);
   if (common::telemetry::enabled()) {
     common::telemetry::count("scan.candidates_scanned",
                              static_cast<double>(result.scanned));
     common::telemetry::count("scan.candidates_filtered",
                              static_cast<double>(result.rejected));
-    if (approx) {
+    if (engine.reduced()) {
       common::telemetry::count("tuner.scan.fp64_rerank",
                                static_cast<double>(result.fp64_reranked));
       common::telemetry::count("tuner.scan.near_ties",
@@ -520,9 +425,6 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
       common::telemetry::gauge("tuner.scan.observed_error",
                                result.observed_error);
     }
-    if (quant)
-      common::telemetry::count("tuner.scan.quant_rerank",
-                               static_cast<double>(result.quant_reranked));
   }
   return result;
 }

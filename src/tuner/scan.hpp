@@ -8,14 +8,15 @@
 // Chunking is defined by the *index range*, never by the pool size, so every
 // result is bit-identical regardless of the number of threads.
 //
-// Two entry points:
+// Two entry points, sharing one chunk pass:
 //  - scan_predict_range: the dense path; one predicted value per index.
-//  - scan_top_m: the streaming selection path; keeps a bounded per-chunk
+//  - scan_top_m: the streaming selection path; keeps one bounded per-chunk
 //    worst-on-top heap of the best m candidates (O(workers * m) memory,
 //    O(n log m) time) instead of materializing |space| predictions. An
-//    optional validity filter is evaluated lazily — only for candidates that
-//    would enter the heap — and a parallel unfiltered top list is kept so
-//    callers can top up when the filter rejects too much.
+//    optional filter is evaluated lazily — only for candidates that would
+//    enter the heap. The scan builds exactly one ranking: a caller that
+//    wants the unfiltered ranking too (e.g. to top up after heavy
+//    filtering) runs a second scan without the filter.
 //
 // Candidates are ordered by (raw network output, index): the output
 // transform (affine with positive scale, optionally exp) is strictly
@@ -23,34 +24,36 @@
 // tie-break makes the order total — merge results cannot depend on chunk
 // arrival order.
 
-// The scan has three inference paths, selected by ScanOptions::inference:
+// The scan has three inference tiers, selected by ScanOptions::inference,
+// and one selection pipeline for all of them: per-chunk heaps that also
+// keep every candidate within a slack band of the chunk cutoff, a global
+// cut at the m-th best output plus the band, an fp64 re-rank of the
+// survivors on the reduced tiers only, then sort, truncate and transform.
 //  - kBatchedFp32 (default): the SIMD fast path — per-chunk fp32 row fill
-//    and a packed ml::BatchedEnsemble forward. Selection stays *exactly*
-//    fp64-identical: each chunk keeps, besides its best-m heap, every
-//    candidate whose fp32 output lies within 2 * B of the heap cutoff, and
-//    after the merge all candidates within that band of the global fp32
-//    cutoff are re-ranked through the fp64 path (whose per-row results are
-//    bit-identical to the fp64 scan's chunked results, because every kernel
-//    under predict_batch_into accumulates per output element in a row-count
-//    independent order). B is the engine's certificate
-//    (ml::BatchedEnsemble::error_bound): a sound bound on |fp32 - fp64| raw
-//    output over the input box of the scan, derived at pack time by forward
-//    error analysis (ml/batched.hpp) — ~1e-4 certified against ~1e-6
-//    observed on the paper's networks. Because |fp32 - fp64| <= B holds for
-//    every scanned row, the returned top-M is the one the fp64 scan would
-//    return, candidate for candidate, predicted values included. A model
-//    whose certificate exceeds kMaxFp32ErrorBound (or has none) is scanned
-//    on the fp64 path instead, and the result says so (fp64_fallback).
+//    and a packed ml::BatchedEnsemble forward, slack 2 * B. Selection stays
+//    *exactly* fp64-identical: the survivors are re-ranked through the fp64
+//    path (whose per-row results are bit-identical to the fp64 scan's
+//    chunked results, because every kernel under predict_batch_into
+//    accumulates per output element in a row-count independent order). B
+//    is the engine's certificate (ml::BatchedEnsemble::error_bound): a
+//    sound bound on |fp32 - fp64| raw output over the input box of the
+//    scan, derived at pack time by forward error analysis (ml/batched.hpp)
+//    — ~1e-4 certified against ~1e-6 observed on the paper's networks.
+//    Because |fp32 - fp64| <= B holds for every scanned row, the returned
+//    top-M is the one the fp64 scan would return, candidate for candidate,
+//    predicted values included. A model whose certificate exceeds
+//    kMaxFp32ErrorBound (or has none) is scanned on the fp64 path instead,
+//    and the result says so (fp64_fallback).
 //  - kScalarFp64: the fp64 reference — per-chunk Matrix fill and
-//    BaggingEnsemble::predict_batch_into.
-//  - kQuantInt8: the quantized tier (ml/quant.hpp) — the same two-tier
-//    scheme with a coarser first pass and a wider band: the chunk heaps
-//    keep every candidate within 2 * quant_error_bound of the cutoff, and
-//    every survivor of the merged quantized cutoff is re-ranked through
-//    fp64 (batched — one gathered matrix per rerank chunk). Its bound is a
-//    declared constant, not yet a certificate: whenever |int8 raw - fp64
-//    raw| stays within quant_error_bound, the returned top-M is identical
-//    to the fp64 scan's, indices and predicted values both.
+//    BaggingEnsemble::predict_batch_into; slack 0 and no re-rank, so the
+//    chunk heaps keep exactly their best m.
+//  - kQuantInt8: the quantized tier (ml/quant.hpp) — the same scheme with a
+//    coarser first pass and a wider band (slack 2 * quant_error_bound);
+//    every survivor is re-ranked through fp64 (batched — one gathered
+//    matrix per re-rank chunk). Its bound is a declared constant, not yet a
+//    certificate: whenever |int8 raw - fp64 raw| stays within
+//    quant_error_bound, the returned top-M is identical to the fp64 scan's,
+//    indices and predicted values both.
 
 #include <atomic>
 #include <cmath>
@@ -98,24 +101,20 @@ struct ScanCandidate {
 /// around the cutoff, so such a model is scanned on the fp64 path instead.
 inline constexpr double kMaxFp32ErrorBound = 1e-2;
 
-/// Result of scan_top_m. `top` is the best-first filtered selection (equal
-/// to `top_unfiltered` when no filter was given); `rejected` counts filter
-/// rejections, which only happen for candidates good enough to enter a
-/// chunk heap at the moment they were scanned. The re-rank fields are only
-/// non-zero when a reduced-precision pass ran: `fp64_reranked` counts
-/// candidates sent through the fp64 reference for exact ranking,
-/// `near_ties` the subset that sat outside the coarse top-m but within the
-/// error band (i.e. the ones whose fate fp64 actually decided).
+/// Result of scan_top_m. `top` is the best-first (filtered) selection;
+/// `rejected` counts filter rejections, which only happen for candidates
+/// good enough to enter a chunk heap at the moment they were scanned. The
+/// re-rank fields are only non-zero when a reduced-precision pass ran:
+/// `fp64_reranked` counts candidates sent through the fp64 reference for
+/// exact ranking, `near_ties` the subset that sat outside the coarse top-m
+/// but within the error band (i.e. the ones whose fate fp64 actually
+/// decided).
 struct TopMScanResult {
   std::vector<ScanCandidate> top;
-  std::vector<ScanCandidate> top_unfiltered;
   std::uint64_t scanned = 0;
   std::uint64_t rejected = 0;
   std::uint64_t fp64_reranked = 0;
   std::uint64_t near_ties = 0;
-  /// Candidates re-ranked through fp64 because the coarse pass ran on the
-  /// int8 engine. Equal to fp64_reranked on that path, zero otherwise.
-  std::uint64_t quant_reranked = 0;
   /// The coarse-pass error bound in force (raw output units): the fp32
   /// certificate or the int8 quant_error_bound; 0 on the fp64 path.
   double error_bound = 0.0;

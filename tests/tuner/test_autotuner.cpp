@@ -163,5 +163,30 @@ TEST(AutoTuner, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(r1.best_time_ms, r2.best_time_ms);
 }
 
+TEST(AutoTuner, ValidityOracleSamplesReachTheClassifier) {
+  // Every measured label is valid (no invalid region in the evaluator), so
+  // the classifier can only see both classes through the analyzer's
+  // oracle samples (bowl_checker proves A=128 invalid).
+  AutoTunerOptions opts = fast_options(60, 10);
+  opts.validity_filter = true;
+  opts.static_checker = testing::bowl_checker();
+  {
+    BowlEvaluator eval;
+    common::Rng rng(6);
+    const AutoTuneResult result =
+        AutoTuner(opts).tune(eval, TuneRun::with_rng(rng));
+    ASSERT_TRUE(result.invalid_training_configs.empty());
+    EXPECT_FALSE(result.validity_model.has_value());
+  }
+  opts.validity_oracle_samples = 200;
+  BowlEvaluator eval;
+  common::Rng rng(6);
+  const AutoTuneResult result =
+      AutoTuner(opts).tune(eval, TuneRun::with_rng(rng));
+  ASSERT_TRUE(result.invalid_training_configs.empty());
+  ASSERT_TRUE(result.validity_model.has_value());
+  EXPECT_TRUE(result.validity_model->fitted());
+}
+
 }  // namespace
 }  // namespace pt::tuner

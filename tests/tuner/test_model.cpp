@@ -292,9 +292,13 @@ TEST(ModelScan, TopMMatchesFullVectorReference) {
     EXPECT_EQ(scan.top[i].index, reference[i]) << "rank " << i;
     EXPECT_DOUBLE_EQ(scan.top[i].predicted_ms, preds[reference[i]]);
   }
-  // Without a filter the two rankings are the same object.
-  ASSERT_EQ(scan.top_unfiltered.size(), m);
-  EXPECT_EQ(scan.top_unfiltered[0].index, scan.top[0].index);
+  // A filter that accepts everything selects the same ranking.
+  const auto accept_all = model.predict_scan_top_m(
+      0, n, m, [](std::uint64_t) { return true; });
+  ASSERT_EQ(accept_all.top.size(), m);
+  for (std::size_t i = 0; i < m; ++i)
+    EXPECT_EQ(accept_all.top[i].index, scan.top[i].index) << "rank " << i;
+  EXPECT_EQ(accept_all.rejected, 0u);
 }
 
 TEST(ModelScan, TopMWithFilterMatchesFilteredReference) {
@@ -310,11 +314,12 @@ TEST(ModelScan, TopMWithFilterMatchesFilteredReference) {
     EXPECT_EQ(scan.top[i].index, reference[i]) << "rank " << i;
     EXPECT_NE(scan.top[i].index % 3, 0u);
   }
-  // The unfiltered ranking still matches the unfiltered reference.
+  // An explicit unfiltered scan matches the unfiltered reference.
   const auto unfiltered_reference = reference_top_m(preds, m);
-  ASSERT_EQ(scan.top_unfiltered.size(), m);
+  const auto unfiltered = model.predict_scan_top_m(0, n, m);
+  ASSERT_EQ(unfiltered.top.size(), m);
   for (std::size_t i = 0; i < m; ++i)
-    EXPECT_EQ(scan.top_unfiltered[i].index, unfiltered_reference[i]);
+    EXPECT_EQ(unfiltered.top[i].index, unfiltered_reference[i]);
   EXPECT_GT(scan.rejected, 0u);
 }
 

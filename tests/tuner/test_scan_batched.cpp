@@ -109,12 +109,6 @@ void expect_same_selection(const TopMScanResult& fp64,
     EXPECT_EQ(fp64.top[i].predicted_ms, fp32.top[i].predicted_ms)
         << "rank " << i;
   }
-  ASSERT_EQ(fp64.top_unfiltered.size(), fp32.top_unfiltered.size());
-  for (std::size_t i = 0; i < fp64.top_unfiltered.size(); ++i) {
-    EXPECT_EQ(fp64.top_unfiltered[i].index, fp32.top_unfiltered[i].index);
-    EXPECT_EQ(fp64.top_unfiltered[i].predicted_ms,
-              fp32.top_unfiltered[i].predicted_ms);
-  }
 }
 
 class ScanBatchedTest : public ::testing::Test {
@@ -150,6 +144,12 @@ TEST_F(ScanBatchedTest, TopMMatchesFp64WithValidityFilter) {
   const auto fp32 = model.predict_scan_top_m(0, space.size(), 20, filter);
   expect_same_selection(fp64, fp32);
   for (const auto& c : fp32.top) EXPECT_NE(c.index % 3, 0u);
+  // The unfiltered ranking is a second, explicit scan; it matches too.
+  model.set_scan_options(fp64_options());
+  const auto fp64_all = model.predict_scan_top_m(0, space.size(), 20);
+  model.set_scan_options(batched_options());
+  expect_same_selection(fp64_all,
+                        model.predict_scan_top_m(0, space.size(), 20));
 }
 
 TEST_F(ScanBatchedTest, Fp32PathIsDeterministicAcrossThreadCounts) {

@@ -2,8 +2,9 @@
 // top-M selection must be exactly the fp64 reference — indices and predicted
 // values — at 1 and 4 threads, with validity filters, under adversarially
 // widened near-tie bands, and through the input-aware model (whose instance
-// features become degenerate calibration ranges). Also the quant_reranked
-// accounting and the engine-missing error paths.
+// features become degenerate calibration ranges). Also the re-rank
+// accounting (fp64_reranked, error_bound) and the engine-missing error
+// paths.
 
 #include <gtest/gtest.h>
 
@@ -79,12 +80,6 @@ void expect_same_selection(const TopMScanResult& fp64,
     EXPECT_EQ(fp64.top[i].predicted_ms, quant.top[i].predicted_ms)
         << "rank " << i;
   }
-  ASSERT_EQ(fp64.top_unfiltered.size(), quant.top_unfiltered.size());
-  for (std::size_t i = 0; i < fp64.top_unfiltered.size(); ++i) {
-    EXPECT_EQ(fp64.top_unfiltered[i].index, quant.top_unfiltered[i].index);
-    EXPECT_EQ(fp64.top_unfiltered[i].predicted_ms,
-              quant.top_unfiltered[i].predicted_ms);
-  }
 }
 
 class ScanQuantTest : public ::testing::Test {
@@ -103,8 +98,7 @@ TEST_F(ScanQuantTest, TopMMatchesFp64AtOneAndFourThreads) {
     model.set_scan_options(with_inference(ScanInference::kQuantInt8));
     const auto quant = model.predict_scan_top_m(0, space.size(), 25);
     EXPECT_EQ(quant.scanned, space.size());
-    EXPECT_GE(quant.quant_reranked, 25u);
-    EXPECT_EQ(quant.quant_reranked, quant.fp64_reranked);
+    EXPECT_GE(quant.fp64_reranked, 25u);
     EXPECT_EQ(quant.error_bound, ScanOptions{}.quant_error_bound);
     EXPECT_LE(quant.observed_error, quant.error_bound);
     expect_same_selection(fp64, quant);
@@ -123,6 +117,12 @@ TEST_F(ScanQuantTest, TopMMatchesFp64WithValidityFilter) {
   const auto quant = model.predict_scan_top_m(0, space.size(), 20, filter);
   expect_same_selection(fp64, quant);
   for (const auto& c : quant.top) EXPECT_NE(c.index % 3, 0u);
+  // The unfiltered ranking is a second, explicit scan; it matches too.
+  model.set_scan_options(with_inference(ScanInference::kScalarFp64));
+  const auto fp64_all = model.predict_scan_top_m(0, space.size(), 20);
+  model.set_scan_options(with_inference(ScanInference::kQuantInt8));
+  expect_same_selection(fp64_all,
+                        model.predict_scan_top_m(0, space.size(), 20));
 }
 
 TEST_F(ScanQuantTest, QuantPathIsDeterministicAcrossThreadCounts) {
@@ -139,7 +139,7 @@ TEST_F(ScanQuantTest, QuantPathIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(one.top[i].index, four.top[i].index);
     EXPECT_EQ(one.top[i].predicted_ms, four.top[i].predicted_ms);
   }
-  EXPECT_EQ(one.quant_reranked, four.quant_reranked);
+  EXPECT_EQ(one.fp64_reranked, four.fp64_reranked);
   EXPECT_EQ(one.near_ties, four.near_ties);
 }
 
@@ -159,7 +159,7 @@ TEST_F(ScanQuantTest, AdversarialNearTieBandStillMatchesFp64Exactly) {
   const auto quant = model.predict_scan_top_m(0, space.size(), 15);
   expect_same_selection(fp64, quant);
   EXPECT_GT(quant.near_ties, 0u);
-  EXPECT_GE(quant.quant_reranked, 15u + quant.near_ties);
+  EXPECT_GE(quant.fp64_reranked, 15u + quant.near_ties);
 }
 
 TEST_F(ScanQuantTest, MeasuredQuantErrorHasTwoTimesMarginOnDeclaredBound) {
@@ -218,7 +218,7 @@ TEST_F(ScanQuantTest, InputAwareQuantScanMatchesFp64) {
     const auto quant =
         model.predict_scan_top_m(0, space.size(), 10, instance);
     expect_same_selection(fp64, quant);
-    EXPECT_GT(quant.quant_reranked, 0u);
+    EXPECT_GT(quant.fp64_reranked, 0u);
   }
 }
 
@@ -243,10 +243,14 @@ TEST_F(ScanQuantTest, Fp64PathReportsNoQuantRerank) {
   AnnPerformanceModel model = trained_model(space);
   model.set_scan_options(with_inference(ScanInference::kScalarFp64));
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 5);
-  EXPECT_EQ(fp64.quant_reranked, 0u);
+  EXPECT_EQ(fp64.fp64_reranked, 0u);
+  EXPECT_EQ(fp64.error_bound, 0.0);
+  // The fp32 tier re-ranks under its own certificate, not the int8 bound.
   model.set_scan_options(with_inference(ScanInference::kBatchedFp32));
   const auto fp32 = model.predict_scan_top_m(0, space.size(), 5);
-  EXPECT_EQ(fp32.quant_reranked, 0u);
+  EXPECT_GT(fp32.error_bound, 0.0);
+  EXPECT_LE(fp32.error_bound, kMaxFp32ErrorBound);
+  EXPECT_NE(fp32.error_bound, ScanOptions{}.quant_error_bound);
 }
 
 }  // namespace

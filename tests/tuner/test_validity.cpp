@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "test_helpers.hpp"
 #include "tuner/autotuner.hpp"
 
@@ -159,6 +162,46 @@ TEST(ValidityFilter, RescuesTheTrapLandscape) {
   // baseline lost (the baseline fails on most seeds by construction).
   EXPECT_LE(filtered_failures, baseline_failures);
   EXPECT_EQ(filtered_failures, 0u);
+}
+
+/// Records the stage-2 candidate sequence.
+class CandidateRecorder final : public TunerObserver {
+ public:
+  void on_candidate(std::uint64_t index, double predicted_ms) override {
+    candidates.emplace_back(index, predicted_ms);
+  }
+  std::vector<std::pair<std::uint64_t, double>> candidates;
+};
+
+TEST(ValidityFilter, TopsUpFromTheUnfilteredRankingWhenItRejectsAll) {
+  // No score reaches a threshold above 1, so the fitted filter rejects
+  // every candidate and all M stage-2 slots come from the unfiltered
+  // ranking: the candidates are exactly those of the unfiltered tuner.
+  AutoTunerOptions opts;
+  opts.training_samples = 120;
+  opts.second_stage_size = 12;
+  opts.model.ensemble.k = 3;
+  opts.model.ensemble.trainer.common.max_epochs = 250;
+  opts.run.seed = 11;
+
+  CandidateRecorder unfiltered;
+  {
+    AutoTunerOptions plain = opts;
+    plain.run.observer = &unfiltered;
+    testing::BowlEvaluator eval(/*with_invalid=*/true);
+    (void)AutoTuner(plain).tune(eval);
+  }
+  CandidateRecorder topped_up;
+  opts.validity_filter = true;
+  opts.validity.threshold = 1.5;
+  opts.run.observer = &topped_up;
+  testing::BowlEvaluator eval(/*with_invalid=*/true);
+  const auto result = AutoTuner(opts).tune(eval);
+  ASSERT_TRUE(result.validity_model.has_value());
+  EXPECT_TRUE(result.validity_model->fitted());
+  EXPECT_GT(result.stage2_filtered, 0u);
+  EXPECT_EQ(topped_up.candidates.size(), opts.second_stage_size);
+  EXPECT_EQ(topped_up.candidates, unfiltered.candidates);
 }
 
 TEST(ValidityFilter, NoOpWhenEverythingIsValid) {
